@@ -39,7 +39,7 @@ def main() -> None:
     tcfg = TrainConfig(epochs=epochs, batch_size=4, lr=0.001,
                        lr_drop_epoch=max(int(epochs * 0.8), 1), seed=0)
     print(f"\ntraining d1=32/d2=64 for {epochs} epochs ...")
-    net, hist = train(train_scans, net, tcfg, AugmentConfig(seed=0))
+    net, hist = train(train_scans, net, tcfg, AugmentConfig())
     print(f"  loss {hist[0]['total']:.3f} -> {hist[-1]['total']:.3f}")
 
     unref = evaluate_split(test_scans, test_preds, net=net, refine=False)

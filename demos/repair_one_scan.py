@@ -48,7 +48,7 @@ def main() -> None:
     net = RadFinerNet(NetworkConfig(d1=16, d2=32, seed=0))
     tcfg = TrainConfig(epochs=args.epochs, batch_size=4, lr=0.001,
                        lr_drop_epoch=max(args.epochs - 2, 1), seed=0)
-    net, hist = train(train_scans, net, tcfg, AugmentConfig(seed=0))
+    net, hist = train(train_scans, net, tcfg, AugmentConfig())
     print(f"  loss {hist[0]['total']:.3f} -> {hist[-1]['total']:.3f}\n")
 
     # pick the scan where refinement moves PQ the most

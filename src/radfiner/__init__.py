@@ -24,10 +24,9 @@ from .pipeline import (bench_pipeline, evaluate_split, majority_true_panoptic,
                        predict_panoptic)
 from .refinement import (assemble_panoptic, refine_instances,
                          refinement_is_idempotent)
-from .scans import (NUM_CLASSES, MovingPrediction, PanopticLabel,
-                    PanopticPrediction, RadarPoint, RadarScan, SemanticClass,
-                    load_predictions, load_scans, save_predictions, save_scans,
-                    select_moving)
+from .scans import (NUM_CLASSES, MovingPrediction, PanopticPrediction,
+                    RadarScan, SemanticClass, load_predictions, load_scans,
+                    save_predictions, save_scans, select_moving)
 from .synthdata import (ClassProfile, SceneConfig, SurrogateConfig,
                         generate_corpus, generate_scene, surrogate_backbone,
                         surrogate_corpus)
@@ -40,9 +39,9 @@ __all__ = [
     "AdamW", "AugmentConfig", "AugmentedSample", "BatchNorm", "ClassProfile",
     "ConfigError", "DataError", "DataFormatError", "GradCheckReport", "Linear",
     "LossBreakdown", "MovingPrediction", "NUM_CLASSES", "Neighborhood",
-    "NetworkConfig", "NumericsError", "PanopticLabel", "PanopticPrediction",
-    "PanopticStats", "PositionalEncoder", "RadFinerNet", "RadarPoint",
-    "RadarScan", "RadiusAttention", "SceneConfig", "SemanticClass",
+    "NetworkConfig", "NumericsError", "PanopticPrediction", "PanopticStats",
+    "PositionalEncoder", "RadFinerNet", "RadarScan", "RadiusAttention",
+    "SceneConfig", "SemanticClass",
     "SurrogateConfig", "TrainConfig", "ValidationError", "accumulate",
     "assemble_panoptic", "augment_scan", "ball_query", "ball_query_bruteforce",
     "bench_pipeline", "consistency_hard", "consistency_soft", "cross_entropy",

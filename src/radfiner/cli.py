@@ -132,10 +132,8 @@ def _cmd_generate(args) -> int:
         (out_dir / "scene.svg").write_text(_scan_svg(scans[0]))
     _write_manifest(out_dir, "generate",
                     {"config": args.config, "count": args.count,
-                     "scene_seed": scene_cfg.seed, "surrogate_seed": surr_cfg.seed,
-                     "surrogate": {k: getattr(surr_cfg, k) for k in
-                                   ("eps_boundary", "eps_clutter", "eps_merge",
-                                    "eps_miss", "merge_gap", "boundary_reach")},
+                     "scene": configio.section(scene_cfg),
+                     "surrogate": configio.section(surr_cfg),
                      "out": str(out_dir), "workers": args.workers},
                     {"total": time.perf_counter() - t0})
     print(f"wrote {len(scans)} scans to {out_dir}")
@@ -174,25 +172,15 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     configio.write_net_config(out_dir / "net.cfg", net_cfg)
     net = RadFinerNet(net_cfg)
-    # training is serialized for reproducibility; --workers only affects
-    # the embarrassingly parallel commands
     net, history = train(train_scans, net, tcfg, acfg, out_dir=out_dir,
                          val_scans=val_scans, val_preds=val_preds,
                          refine_mode=args.refine_mode,
                          log=(None if args.quiet else print))
     _write_manifest(out_dir, "train",
                     {"config": args.config, "data": args.data, "val": args.val,
-                     "net": {"d1": net_cfg.d1, "d2": net_cfg.d2,
-                             "radius": net_cfg.radius, "nmax": net_cfg.n_max,
-                             "attn_pad": net_cfg.attn_pad,
-                             "head_norm": net_cfg.head_norm, "seed": net_cfg.seed},
-                     "train": {"epochs": tcfg.epochs, "batch_size": tcfg.batch_size,
-                               "lr": tcfg.lr, "lr_drop_epoch": tcfg.lr_drop_epoch,
-                               "lr_drop_factor": tcfg.lr_drop_factor,
-                               "weight_decay": tcfg.weight_decay, "seed": tcfg.seed},
-                     "augment": {"p_instance": acfg.p_instance, "p_scan": acfg.p_scan,
-                                 "boundary_sigma": acfg.boundary_sigma,
-                                 "clutter_source": acfg.clutter_source},
+                     "net": configio.section(net_cfg),
+                     "train": configio.section(tcfg),
+                     "augment": configio.section(acfg),
                      "refine_mode": args.refine_mode, "out": str(out_dir)},
                     {"total": time.perf_counter() - t0})
     last = history[-1]
@@ -350,7 +338,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-scan", type=float, default=None)
     p.add_argument("--clutter-source", choices=("sampled", "synthetic"), default=None)
     p.add_argument("--refine-mode", choices=("split", "majority"), default="split")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_train)
 

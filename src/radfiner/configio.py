@@ -3,46 +3,59 @@
 One flat file can carry every section: bare keys (d1, d2, radius, nmax,
 classes, seed, ...) configure the network; prefixed keys (scene.*,
 surrogate.*, train.*, augment.*) configure the generator, fault injector,
-schedule and augmentation.  Integer ranges are written as "lo:hi".
-Unknown keys are rejected so typos surface instead of silently keeping a
-default.  configs/default.cfg in the repository lists every key.
+schedule and augmentation, and scene.<thing>.* the per-class profiles.
+The keys, their types and their defaults all come from the config
+dataclasses; a tuple field is written "lo:hi".  Unknown keys are rejected
+so typos surface instead of silently keeping a default.
+configs/default.cfg in the repository lists every key.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError
 from .network import NetworkConfig
-from .scans import SemanticClass
-from .synthdata import ClassProfile, SceneConfig, SurrogateConfig, default_profiles
+from .synthdata import SceneConfig, SurrogateConfig, default_profiles
 from .training import AugmentConfig, TrainConfig
 
-THING_NAMES = ("car", "pedestrian", "pedestrian_group", "bike", "truck")
+# file prefix -> config dataclass; scene.<thing>. holds that class's profile
+SECTIONS = (("", NetworkConfig), ("scene.", SceneConfig),
+            ("surrogate.", SurrogateConfig), ("train.", TrainConfig),
+            ("augment.", AugmentConfig))
+# field name -> file key where the two differ
+_FILE_KEYS = {"n_max": "nmax", "instances_per_scan": "instances"}
+# fields no file sets: the input width is fixed by the scan format, and the
+# profiles have their own scene.<thing>. sections
+_SKIPPED = ("d_in", "profiles")
 
-NET_KEYS = ("d1", "d2", "head1", "head2", "head3", "classes", "radius",
-            "nmax", "attn_pad", "head_norm", "seed")
-SCENE_KEYS = ("instances", "clutter_points", "near_clutter", "near_sigma",
-              "clusters", "cluster_spread", "fov_deg", "min_range", "max_range",
-              "static_rcs_mean", "static_rcs_spread", "doppler_noise", "seed")
-PROFILE_KEYS = ("points", "extent", "speed", "rcs_mean", "rcs_spread")
-SURROGATE_KEYS = ("eps_boundary", "eps_clutter", "eps_merge", "eps_miss",
-                  "merge_gap", "boundary_reach", "seed")
-TRAIN_KEYS = ("epochs", "batch_size", "lr", "lr_drop_epoch", "lr_drop_factor",
-              "weight_decay", "seed")
-AUGMENT_KEYS = ("p_instance", "p_scan", "boundary_sigma", "clutter_size",
-                "clutter_sigma", "clutter_source", "seed")
+
+def _keys(cfg) -> dict[str, str]:
+    """File key (without section prefix) -> field name of one config object."""
+    return {_FILE_KEYS.get(f.name, f.name): f.name
+            for f in fields(cfg) if f.name not in _SKIPPED}
+
+
+def section(cfg) -> dict:
+    """One config object as {file key: value}, without the section prefix;
+    a scene's class profiles nest under the lower-case class name."""
+    out = {key: getattr(cfg, name) for key, name in _keys(cfg).items()}
+    if isinstance(cfg, SceneConfig):
+        out.update((code.name.lower(), section(p)) for code, p in cfg.profiles.items())
+    return out
+
+
+def _flat(prefix: str, tree: dict):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _flat(f"{prefix}{key}.", value)
+        else:
+            yield prefix + key
 
 
 def known_keys() -> set[str]:
-    keys = set(NET_KEYS)
-    keys.update(f"scene.{k}" for k in SCENE_KEYS)
-    for name in THING_NAMES:
-        keys.update(f"scene.{name}.{k}" for k in PROFILE_KEYS)
-    keys.update(f"surrogate.{k}" for k in SURROGATE_KEYS)
-    keys.update(f"train.{k}" for k in TRAIN_KEYS)
-    keys.update(f"augment.{k}" for k in AUGMENT_KEYS)
-    return keys
+    return {key for prefix, cls in SECTIONS for key in _flat(prefix, section(cls()))}
 
 
 def parse_config(text: str, where: str = "<config>") -> dict[str, str]:
@@ -75,141 +88,63 @@ def load_config(path) -> dict[str, str]:
     return mapping
 
 
-def _get(mapping, key, cast, default):
-    if key not in mapping:
-        return default
-    try:
-        return cast(mapping[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config key {key}={mapping[key]!r}: {exc}")
+def _cast(text: str, default):
+    """Parse `text` as the type of `default`; a tuple is written lo:hi."""
+    if isinstance(default, tuple):
+        parts = text.split(":")
+        if len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} values written lo:hi")
+        return tuple(_cast(part, d) for part, d in zip(parts, default))
+    return type(default)(text)
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
-
-
-def _float_pair(text: str) -> tuple[float, float]:
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+def _build(base, mapping: dict[str, str], prefix: str, **overrides):
+    """`base` with the fields its section of `mapping` sets, then every
+    override that is not None; validated once, on the result."""
+    changes = {}
+    for key, name in _keys(base).items():
+        text = mapping.get(prefix + key)
+        if text is not None:
+            try:
+                changes[name] = _cast(text, getattr(base, name))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"config key {prefix}{key}={text!r}: {exc}")
+    changes.update((k, v) for k, v in overrides.items() if v is not None)
+    return replace(base, **changes)
 
 
 def net_config(mapping: dict[str, str], **overrides) -> NetworkConfig:
-    kwargs = dict(
-        d1=_get(mapping, "d1", int, 64),
-        d2=_get(mapping, "d2", int, 256),
-        head1=_get(mapping, "head1", int, 0),
-        head2=_get(mapping, "head2", int, 0),
-        head3=_get(mapping, "head3", int, 0),
-        classes=_get(mapping, "classes", int, 6),
-        radius=_get(mapping, "radius", float, 5.0),
-        n_max=_get(mapping, "nmax", int, 24),
-        attn_pad=_get(mapping, "attn_pad", str, "mask"),
-        head_norm=_get(mapping, "head_norm", str, "bn"),
-        seed=_get(mapping, "seed", int, 0),
-    )
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
-    return NetworkConfig(**kwargs)
+    return _build(NetworkConfig(), mapping, "", **overrides)
+
+
+def _text(value) -> str:
+    # str() of a float is its repr, so floats round-trip exactly
+    if isinstance(value, tuple):
+        return ":".join(map(str, value))
+    return str(value)
 
 
 def write_net_config(path, cfg: NetworkConfig) -> None:
-    lines = [f"d1={cfg.d1}", f"d2={cfg.d2}",
-             f"head1={cfg.head_widths()[0]}", f"head2={cfg.head_widths()[1]}",
-             f"head3={cfg.head_widths()[2]}", f"classes={cfg.classes}",
-             f"radius={repr(cfg.radius)}", f"nmax={cfg.n_max}",
-             f"attn_pad={cfg.attn_pad}", f"head_norm={cfg.head_norm}",
-             f"seed={cfg.seed}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The network section of `cfg`, with the derived head widths frozen."""
+    entries = section(cfg) | dict(zip(("head1", "head2", "head3"), cfg.head_widths()))
+    Path(path).write_text("".join(f"{key}={_text(v)}\n" for key, v in entries.items()))
 
 
 def scene_config(mapping: dict[str, str], seed=None) -> SceneConfig:
-    # fallbacks come from the dataclass defaults so the two never drift
-    ref_scene = SceneConfig()
-    profiles = {}
-    base = default_profiles()
-    for name in THING_NAMES:
-        code = SemanticClass[name.upper()]
-        ref = base[code]
-        profiles[code] = ClassProfile(
-            points=_get(mapping, f"scene.{name}.points", _int_pair, ref.points),
-            extent=_get(mapping, f"scene.{name}.extent", float, ref.extent),
-            speed=_get(mapping, f"scene.{name}.speed", _float_pair, ref.speed),
-            rcs_mean=_get(mapping, f"scene.{name}.rcs_mean", float, ref.rcs_mean),
-            rcs_spread=_get(mapping, f"scene.{name}.rcs_spread", float, ref.rcs_spread),
-        )
-    cfg_seed = _get(mapping, "scene.seed", int, ref_scene.seed)
-    return SceneConfig(
-        profiles=profiles,
-        instances_per_scan=_get(mapping, "scene.instances", _int_pair,
-                                ref_scene.instances_per_scan),
-        clutter_points=_get(mapping, "scene.clutter_points", _int_pair,
-                            ref_scene.clutter_points),
-        near_clutter=_get(mapping, "scene.near_clutter", _int_pair,
-                          ref_scene.near_clutter),
-        near_sigma=_get(mapping, "scene.near_sigma", float, ref_scene.near_sigma),
-        clusters=_get(mapping, "scene.clusters", _int_pair, ref_scene.clusters),
-        cluster_spread=_get(mapping, "scene.cluster_spread", float,
-                            ref_scene.cluster_spread),
-        fov_deg=_get(mapping, "scene.fov_deg", float, ref_scene.fov_deg),
-        min_range=_get(mapping, "scene.min_range", float, ref_scene.min_range),
-        max_range=_get(mapping, "scene.max_range", float, ref_scene.max_range),
-        static_rcs_mean=_get(mapping, "scene.static_rcs_mean", float,
-                             ref_scene.static_rcs_mean),
-        static_rcs_spread=_get(mapping, "scene.static_rcs_spread", float,
-                               ref_scene.static_rcs_spread),
-        doppler_noise=_get(mapping, "scene.doppler_noise", float,
-                           ref_scene.doppler_noise),
-        seed=cfg_seed if seed is None else int(seed),
-    )
+    profiles = {code: _build(profile, mapping, f"scene.{code.name.lower()}.")
+                for code, profile in default_profiles().items()}
+    return _build(SceneConfig(), mapping, "scene.", profiles=profiles,
+                  seed=None if seed is None else int(seed))
 
 
 def surrogate_config(mapping: dict[str, str], seed=None) -> SurrogateConfig:
-    cfg_seed = _get(mapping, "surrogate.seed", int, 0)
-    return SurrogateConfig(
-        eps_boundary=_get(mapping, "surrogate.eps_boundary", float, 0.0),
-        eps_clutter=_get(mapping, "surrogate.eps_clutter", float, 0.0),
-        eps_merge=_get(mapping, "surrogate.eps_merge", float, 0.0),
-        eps_miss=_get(mapping, "surrogate.eps_miss", float, 0.0),
-        merge_gap=_get(mapping, "surrogate.merge_gap", float, 2.0),
-        boundary_reach=_get(mapping, "surrogate.boundary_reach", float, 2.0),
-        seed=cfg_seed if seed is None else int(seed),
-    )
+    return _build(SurrogateConfig(), mapping, "surrogate.",
+                  seed=None if seed is None else int(seed))
 
 
 def train_config(mapping: dict[str, str], **overrides) -> TrainConfig:
-    kwargs = dict(
-        epochs=_get(mapping, "train.epochs", int, 80),
-        batch_size=_get(mapping, "train.batch_size", int, 64),
-        lr=_get(mapping, "train.lr", float, 0.001),
-        lr_drop_epoch=_get(mapping, "train.lr_drop_epoch", int, 60),
-        lr_drop_factor=_get(mapping, "train.lr_drop_factor", float, 10.0),
-        weight_decay=_get(mapping, "train.weight_decay", float, 0.01),
-        seed=_get(mapping, "train.seed", int, 0),
-    )
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
-    return TrainConfig(**kwargs)
+    return _build(TrainConfig(), mapping, "train.", **overrides)
 
 
 def augment_config(mapping: dict[str, str], **overrides) -> AugmentConfig:
-    ref = AugmentConfig()
-    kwargs = dict(
-        p_instance=_get(mapping, "augment.p_instance", float, ref.p_instance),
-        p_scan=_get(mapping, "augment.p_scan", float, ref.p_scan),
-        boundary_sigma=_get(mapping, "augment.boundary_sigma", float,
-                            ref.boundary_sigma),
-        clutter_size=_get(mapping, "augment.clutter_size", _int_pair,
-                          ref.clutter_size),
-        clutter_sigma=_get(mapping, "augment.clutter_sigma", float,
-                           ref.clutter_sigma),
-        clutter_source=_get(mapping, "augment.clutter_source", str,
-                            ref.clutter_source),
-        seed=_get(mapping, "augment.seed", int, ref.seed),
-    )
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
-    return AugmentConfig(**kwargs)
+    return _build(AugmentConfig(), mapping, "augment.", **overrides)

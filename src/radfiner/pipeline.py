@@ -123,7 +123,7 @@ def evaluate_split(scans: list[RadarScan], preds: list[MovingPrediction],
 def bench_pipeline(net: RadFinerNet, scans: list[RadarScan],
                    preds: list[MovingPrediction], repetitions: int = 1,
                    refine_mode: str = "split") -> np.ndarray:
-    """Per-scan select+forward+refine wall times in seconds.
+    """Per-scan `predict_panoptic` wall times in seconds.
 
     One untimed warmup pass runs first; samples are ordered scan-major,
     repetitions within scan.
@@ -131,24 +131,15 @@ def bench_pipeline(net: RadFinerNet, scans: list[RadarScan],
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     pairs = pair_predictions(scans, preds)
-
-    def run(scan, pred):
-        coords, feats, index_map = select_moving(scan, pred)
-        if index_map.size:
-            classes = net.predict(coords, feats)
-            r_classes, r_ids = refine_instances(pred.instance[index_map], classes,
-                                                refine_mode)
-            assemble_panoptic(scan, pred, r_ids, r_classes, index_map)
-
     for scan, pred in pairs[:min(len(pairs), 8)]:
-        run(scan, pred)
+        predict_panoptic(net, scan, pred, refine_mode=refine_mode)
 
     times = np.zeros(len(pairs) * repetitions)
     k = 0
     for scan, pred in pairs:
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            run(scan, pred)
+            predict_panoptic(net, scan, pred, refine_mode=refine_mode)
             times[k] = time.perf_counter() - t0
             k += 1
     return times

@@ -22,7 +22,7 @@ with repr() so that load/save round-trips are byte-identical):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -44,36 +44,6 @@ class SemanticClass(IntEnum):
 
 NUM_CLASSES = len(SemanticClass)
 THING_CLASSES = tuple(c for c in SemanticClass if c != SemanticClass.STATIC)
-CLASS_NAMES = {c: c.name.lower().replace("_", "-") for c in SemanticClass}
-
-
-@dataclass(frozen=True)
-class RadarPoint:
-    x: float
-    y: float
-    z: float
-    rcs: float
-    doppler: float
-
-    def __post_init__(self):
-        vals = (self.x, self.y, self.z, self.rcs, self.doppler)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValidationError(f"non-finite point values {vals}")
-        if self.z != 0.0:
-            raise ValidationError(f"points live on the ground plane, got z={self.z}")
-
-
-@dataclass(frozen=True)
-class PanopticLabel:
-    semantic: SemanticClass
-    instance_id: int
-
-    def __post_init__(self):
-        if self.instance_id < 0:
-            raise ValidationError(f"negative instance id {self.instance_id}")
-        if (self.semantic == SemanticClass.STATIC) != (self.instance_id == 0):
-            raise ValidationError(
-                f"static points carry id 0 and only them: {self.semantic}, id {self.instance_id}")
 
 
 def _validate_labels(sem: np.ndarray, instance: np.ndarray, what: str) -> None:
@@ -140,25 +110,6 @@ class RadarScan:
     def moving_mask(self) -> np.ndarray:
         """Ground-truth mask of points on thing instances."""
         return self.sem != SemanticClass.STATIC
-
-    def point(self, i: int) -> RadarPoint:
-        return RadarPoint(self.xy[i, 0], self.xy[i, 1], 0.0, self.rcs[i], self.doppler[i])
-
-    def label(self, i: int) -> PanopticLabel:
-        return PanopticLabel(SemanticClass(int(self.sem[i])), int(self.instance[i]))
-
-    @classmethod
-    def from_points(cls, scan_id: str, points, labels) -> "RadarScan":
-        points = list(points)
-        labels = list(labels)
-        if len(points) != len(labels):
-            raise ValidationError(f"scan {scan_id}: {len(points)} points, {len(labels)} labels")
-        xy = np.array([[p.x, p.y] for p in points]) if points else np.zeros((0, 2))
-        return cls(scan_id, xy,
-                   np.array([p.rcs for p in points]),
-                   np.array([p.doppler for p in points]),
-                   np.array([int(l.semantic) for l in labels], dtype=np.int64),
-                   np.array([l.instance_id for l in labels], dtype=np.int64))
 
 
 @dataclass
@@ -292,6 +243,11 @@ def _read_blocks(reader: _LineReader, header: str):
             raise reader.error(f"bad point count {parts[2]!r}") from None
         if count < 0:
             raise reader.error(f"negative point count {count}")
+        # bound the count before the loaders allocate arrays of that size
+        left = len(reader.lines) - reader.pos
+        if count > left:
+            raise reader.error(
+                f"point count {count} runs past the end of file ({left} lines left)")
         yield scan_id, count
 
 

@@ -44,7 +44,6 @@ class AugmentConfig:
     clutter_size: tuple[int, int] = (1, 5)
     clutter_sigma: float = 1.5       # meters; spread of the injected clutter group
     clutter_source: str = "sampled"  # copy real static features, or synthesize them
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.p_instance <= 1.0 and 0.0 <= self.p_scan <= 1.0):

@@ -262,7 +262,7 @@ def desk_runs():
         net = RadFinerNet(NetworkConfig(d1=32, d2=64, seed=0, **net_kwargs))
         tcfg = TrainConfig(epochs=40, batch_size=4, lr=0.001,
                            lr_drop_epoch=32, seed=0)
-        net, _ = train(train_scans, net, tcfg, AugmentConfig(seed=0, **aug_kwargs))
+        net, _ = train(train_scans, net, tcfg, AugmentConfig(**aug_kwargs))
         stats = evaluate_split(test_scans, test_preds, net=net, refine=True,
                                refine_mode="split")
         return panoptic_quality(stats)[1]

@@ -1,17 +1,28 @@
 """End-to-end plumbing: evaluation pipeline, CLI contracts, exit codes."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import radfiner.cli as cli
-from radfiner.configio import load_config, net_config, parse_config
+from radfiner.configio import (augment_config, known_keys, load_config,
+                               net_config, parse_config, scene_config,
+                               surrogate_config, train_config)
 from radfiner.errors import ConfigError, DataFormatError
 from radfiner.metrics import panoptic_quality
-from radfiner.network import RadFinerNet, toy_config
+from radfiner.network import NetworkConfig, RadFinerNet, toy_config
 from radfiner.pipeline import evaluate_split, pair_predictions
-from radfiner.scans import load_predictions, load_scans
+from radfiner.scans import SemanticClass, load_predictions, load_scans
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
+from radfiner.training import AugmentConfig, TrainConfig
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+BUILDERS = ((net_config, NetworkConfig), (scene_config, SceneConfig),
+            (surrogate_config, SurrogateConfig), (train_config, TrainConfig),
+            (augment_config, AugmentConfig))
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +90,33 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(p)
 
 
+def test_default_cfg_lists_every_key_at_its_default():
+    mapping = load_config(CONFIGS / "default.cfg")
+    assert set(mapping) == known_keys()
+    for build, cls in BUILDERS:
+        assert build(mapping) == build({}) == cls()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_build(path):
+    mapping = load_config(path)
+    for build, cls in BUILDERS:
+        assert isinstance(build(mapping), cls)
+
+
+def test_config_values_cast_from_default_types():
+    scene = scene_config({"scene.instances": "2:9", "scene.truck.speed": "1:4",
+                          "scene.fov_deg": "90"})
+    assert scene.instances_per_scan == (2, 9) and scene.fov_deg == 90.0
+    assert scene.profiles[SemanticClass.TRUCK].speed == (1.0, 4.0)
+    for mapping in ({"scene.instances": "3"}, {"scene.instances": "1:2:3"},
+                    {"scene.instances": "1.5:3"}, {"scene.car.extent": "wide"}):
+        with pytest.raises(ConfigError, match="scene"):
+            scene_config(mapping)
+    with pytest.raises(ConfigError, match="nmax"):
+        net_config({"nmax": "24.0"})
+
+
 def test_net_config_roundtrip(tmp_path):
     cfg = net_config({"d1": "8", "d2": "16", "radius": "4.0", "nmax": "6",
                       "head_norm": "none"})
@@ -124,6 +162,12 @@ def test_generate_workers_match(tmp_path):
     assert (a / "surrogate.txt").read_bytes() == (b / "surrogate.txt").read_bytes()
 
 
+def _flat_keys(prefix: str, tree: dict) -> set[str]:
+    return {k for key, value in tree.items()
+            for k in (_flat_keys(f"{prefix}{key}.", value) if isinstance(value, dict)
+                      else {prefix + key})}
+
+
 def test_full_cli_cycle(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main(["generate", "--out", str(data), "--count", "8",
@@ -135,6 +179,13 @@ def test_full_cli_cycle(tmp_path, capsys):
                      "--d1", "8", "--d2", "16", "--quiet"]) == 0
     history = (run / "history.csv").read_text().splitlines()
     assert len(history) == 2  # header + 1 row
+    # the two manifests together record every config key
+    resolved = {**json.loads((data / "manifest_generate.json").read_text())["resolved"],
+                **json.loads((run / "manifest_train.json").read_text())["resolved"]}
+    recorded = set().union(*(_flat_keys(prefix, resolved[name]) for prefix, name in (
+        ("", "net"), ("scene.", "scene"), ("surrogate.", "surrogate"),
+        ("train.", "train"), ("augment.", "augment"))))
+    assert recorded == known_keys()
 
     assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 0
     table = capsys.readouterr().out
@@ -186,6 +237,19 @@ def test_missing_data_exits_two(tmp_path):
     rc = cli.main(["eval", "--data", str(tmp_path / "nowhere"),
                    "--source", "surrogate"])
     assert rc == 2
+
+
+def test_forged_point_count_exits_two(tmp_path, capsys):
+    # a count far past the end of the file must not be allocated up front
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
+    for name, header in (("scans.txt", "#radfiner-scans v1"),
+                         ("surrogate.txt", "#radfiner-pred v1")):
+        good = (data / name).read_text()
+        (data / name).write_text(f"{header}\nscan 0 100000000000\n0 0\n")
+        assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 2
+        assert f"{name}:2: point count 100000000000 runs past" in capsys.readouterr().err
+        (data / name).write_text(good)
 
 
 def test_bad_config_file_exits_two(tmp_path):

@@ -28,19 +28,6 @@ def test_semantic_codes_are_stable():
     assert len(sc.THING_CLASSES) == 5
 
 
-def test_point_and_label_validation():
-    with pytest.raises(ValidationError):
-        sc.RadarPoint(1.0, 2.0, 0.5, 0.0, 0.0)  # off the ground plane
-    with pytest.raises(ValidationError):
-        sc.RadarPoint(np.nan, 2.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        sc.PanopticLabel(sc.SemanticClass.STATIC, 3)
-    with pytest.raises(ValidationError):
-        sc.PanopticLabel(sc.SemanticClass.CAR, 0)
-    sc.PanopticLabel(sc.SemanticClass.STATIC, 0)
-    sc.PanopticLabel(sc.SemanticClass.CAR, 12)
-
-
 def test_scan_validation_rejects_impure_instance():
     xy = np.zeros((2, 2))
     with pytest.raises(ValidationError):
@@ -49,6 +36,16 @@ def test_scan_validation_rejects_impure_instance():
     with pytest.raises(ValidationError):
         sc.RadarScan("s", np.zeros((0, 2)), np.zeros(0), np.zeros(0),
                      np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+    with pytest.raises(ValidationError, match="non-finite"):
+        sc.RadarScan("s", xy, np.array([0.0, np.nan]), np.zeros(2),
+                     np.array([0, 0]), np.array([0, 0]))
+    with pytest.raises(ValidationError, match="static point"):
+        sc.RadarScan("s", xy, np.zeros(2), np.zeros(2),
+                     np.array([0, 1]), np.array([3, 4]))
+    with pytest.raises(ValidationError, match="thing point"):
+        sc.RadarScan("s", xy, np.zeros(2), np.zeros(2),
+                     np.array([0, 1]), np.array([0, 0]))
+    sc.RadarScan("s", xy, np.zeros(2), np.zeros(2), np.array([0, 1]), np.array([0, 12]))
 
 
 def test_features_layout():
@@ -60,10 +57,6 @@ def test_features_layout():
     assert np.array_equal(feats[:, 3], scan.rcs)
     assert np.array_equal(feats[:, 4], scan.doppler)
     assert np.array_equal(scan.moving_mask(), np.array([False, True, True, True]))
-    p = scan.point(1)
-    assert (p.x, p.y, p.rcs) == (3.5, -0.25, -3.25)
-    lab = scan.label(3)
-    assert lab.semantic == sc.SemanticClass.PEDESTRIAN and lab.instance_id == 3
 
 
 def test_select_moving():
@@ -136,6 +129,9 @@ def test_load_rejects_bad_header_and_counts(tmp_path):
     bad.write_text("#radfiner-scans v1\nscan a 1\n1.0 2.0 0.0 3.0 4.0 0 5\n")
     with pytest.raises(DataFormatError):
         sc.load_scans(bad)  # static point with nonzero id
+    bad.write_text("#radfiner-scans v1\nscan a 1\n1.0 2.0 0.5 3.0 4.0 0 0\n")
+    with pytest.raises(DataFormatError, match="nonzero z"):
+        sc.load_scans(bad)
     bad.write_text("#radfiner-scans v1\nscan a 1\n1 2 0.0 3 4 0 0\nscan a 1\n1 2 0.0 3 4 0 0\n")
     with pytest.raises(DataFormatError) as exc:
         sc.load_scans(bad)

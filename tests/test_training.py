@@ -161,7 +161,7 @@ def _tiny_setup():
 def test_loss_decreases_over_steps():
     scans, net = _tiny_setup()
     tcfg = TrainConfig(epochs=6, batch_size=2, lr=0.003, lr_drop_epoch=5, seed=0)
-    net, hist = train(scans, net, tcfg, AugmentConfig(seed=0))
+    net, hist = train(scans, net, tcfg, AugmentConfig())
     assert hist[5]["total"] < hist[0]["total"]
 
 
@@ -170,7 +170,7 @@ def test_identical_seeds_identical_history(tmp_path):
     tcfg = TrainConfig(epochs=3, batch_size=2, lr=0.001, lr_drop_epoch=2, seed=4)
     for sub in ("a", "b"):
         train(scans, RadFinerNet(toy_config(head_norm="bn", seed=1)),
-              tcfg, AugmentConfig(seed=0), out_dir=tmp_path / sub)
+              tcfg, AugmentConfig(), out_dir=tmp_path / sub)
     assert ((tmp_path / "a" / "history.csv").read_bytes()
             == (tmp_path / "b" / "history.csv").read_bytes())
     assert ((tmp_path / "a" / "ckpt_epoch03").read_bytes()
@@ -180,7 +180,7 @@ def test_identical_seeds_identical_history(tmp_path):
 def test_history_lr_column_tracks_drop():
     scans, net = _tiny_setup()
     tcfg = TrainConfig(epochs=4, batch_size=2, lr=0.001, lr_drop_epoch=2, seed=0)
-    _, hist = train(scans, net, tcfg, AugmentConfig(seed=0))
+    _, hist = train(scans, net, tcfg, AugmentConfig())
     assert [row["lr"] for row in hist] == [0.001, 0.001, 0.0001, 0.0001]
 
 
@@ -190,13 +190,13 @@ def test_divergence_guard_reports_position():
     # an absurd learning rate reliably blows the loss up
     tcfg = TrainConfig(epochs=8, batch_size=1, lr=1e6, lr_drop_epoch=7, seed=0)
     with pytest.raises(NumericsError, match="epoch"):
-        train(scans, net, tcfg, AugmentConfig(seed=0))
+        train(scans, net, tcfg, AugmentConfig())
 
 
 def test_checkpoints_and_history_written(tmp_path):
     scans, net = _tiny_setup()
     tcfg = TrainConfig(epochs=2, batch_size=2, lr=0.001, lr_drop_epoch=1, seed=0)
-    train(scans, net, tcfg, AugmentConfig(seed=0), out_dir=tmp_path)
+    train(scans, net, tcfg, AugmentConfig(), out_dir=tmp_path)
     assert (tmp_path / "history.csv").exists()
     assert (tmp_path / "ckpt_epoch01").exists()
     assert (tmp_path / "ckpt_epoch02").exists()
