@@ -107,12 +107,11 @@ class RadiusAttention:
         k = ad.matmul(x, self.wk)
         v = ad.matmul(x, self.wv)
         # gathering pulls row 0 into padded slots; zero them in either mode
-        qg = ad.gather_rows(q, nb.indices) * mask3
-        kg = ad.gather_rows(k, nb.indices) * mask3
+        qk = ad.gather_rows(q - k, nb.indices) * mask3
         vg = ad.gather_rows(v, nb.indices) * mask3
         r_enc = self.pos(nb.rel_pos, valid, training, zero_invalid=masked)
 
-        a = qg - kg + r_enc
+        a = qk + r_enc
         a = self.mlp_bn1(a, valid=valid, training=training, zero_invalid=masked)
         a = ad.matmul(ad.relu(a), self.mlp_w1)
         a = self.mlp_bn2(a, valid=valid, training=training, zero_invalid=masked)

@@ -8,7 +8,7 @@ additively; callers own zeroing between steps.
 
 The op set is deliberately small: exactly what a point-transformer
 style network needs (matmul, broadcast arithmetic, relu/gelu,
-masked softmax, integer gathers, sum reductions, reshape).
+masked softmax, integer gathers, sum reductions).
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -92,9 +88,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
 
     def __neg__(self):
         return mul(self, Tensor(-1.0))
@@ -189,20 +182,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    return _record(out, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            )
 
     return _record(out, (a, b), backward)
 
@@ -335,41 +314,8 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def take_per_row(a: Tensor, cols: np.ndarray) -> Tensor:
-    """Pick one column per row of a 2-d tensor: out[i] = a[i, cols[i]]."""
-    if a.data.ndim != 2:
-        raise ValueError("take_per_row expects a 2-d tensor")
-    cols = np.asarray(cols)
-    rows = np.arange(a.data.shape[0])
-    out = Tensor(a.data[rows, cols])
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, cols), g)
-            a.accumulate_grad(acc)
-
-    return _record(out, (a,), backward)
-
-
-def take1d(a: Tensor, indices: np.ndarray) -> Tensor:
-    """out[k] = a[indices[k]] for a 1-d tensor; duplicates allowed."""
-    if a.data.ndim != 1:
-        raise ValueError("take1d expects a 1-d tensor")
-    idx = np.asarray(indices)
-    out = Tensor(a.data[idx])
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a.accumulate_grad(acc)
-
-    return _record(out, (a,), backward)
-
-
 # --------------------------------------------------------------------------
-# shape
+# reductions
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -387,27 +333,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
                     expand[ax] = None
                 g = g[tuple(expand)]
             a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
-
-    return _record(out, (a,), backward)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.data.shape))
 
     return _record(out, (a,), backward)
 

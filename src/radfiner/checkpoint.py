@@ -12,6 +12,8 @@ and leaves interpretation to the model.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataFormatError
@@ -51,8 +53,9 @@ def load_entries(path) -> dict[str, np.ndarray]:
             values = [float(v) for v in parts[2 + ndim:]]
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: unparseable entry") from None
-        count = int(np.prod(shape)) if shape else 1
-        if len(shape) != ndim or len(values) != count:
+        if ndim < 0 or any(d < 0 for d in shape):
+            raise DataFormatError(f"{path}:{lineno}: {name} declares a negative size")
+        if len(shape) != ndim or len(values) != math.prod(shape):
             raise DataFormatError(
                 f"{path}:{lineno}: {name} declares shape {shape} but has "
                 f"{len(values)} values")

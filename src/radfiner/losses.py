@@ -6,6 +6,11 @@ comes in two flavors: the hard count-based form used for reporting
 soft surrogate used in the optimized objective, the expected pairwise
 disagreement 1 - sum_c q_c^2 of the instance's mean class distribution
 q.  Both are 0 exactly when every instance is predicted single-class.
+
+Each loss is one whole-array tape expression: per-row, per-class and
+per-instance choices enter as constant matrices (a one-hot target mask,
+the sorted Jaccard weights, the instance-mean rows), never as Python
+loops over classes or instances.
 """
 
 from __future__ import annotations
@@ -44,15 +49,18 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     shift = logits.data.max(axis=1, keepdims=True)  # constant: no gradient
     z = logits - shift
     lse = ad.log(ad.reduce_sum(ad.exp(z), axis=1))
-    nll = lse - ad.take_per_row(z, targets)
+    one_hot = np.zeros((n, c))
+    one_hot[np.arange(n), targets] = 1.0
+    nll = lse - ad.reduce_sum(z * one_hot, axis=1)
     return ad.reduce_sum(nll) * (1.0 / n)
 
 
 def _jaccard_grad(fg_sorted: np.ndarray) -> np.ndarray:
-    """Increments of the Jaccard loss along the sorted-error prefix."""
-    total = fg_sorted.sum()
-    intersection = total - np.cumsum(fg_sorted)
-    union = total + np.cumsum(1.0 - fg_sorted)
+    """Increments of the Jaccard loss along the sorted-error prefix
+    (axis 0), one column per class."""
+    total = fg_sorted.sum(axis=0)
+    intersection = total - np.cumsum(fg_sorted, axis=0)
+    union = total + np.cumsum(1.0 - fg_sorted, axis=0)
     jaccard = 1.0 - intersection / union
     grad = jaccard.copy()
     grad[1:] -= jaccard[:-1]
@@ -66,27 +74,28 @@ def lovasz_softmax(probs: Tensor, targets) -> Tensor:
     those present in the targets or in the argmax prediction; the loss
     is their mean.  The sorted Jaccard increments act as constants for
     the backward pass, which is exactly the extension's (sub)gradient.
+    Once the sort is fixed the extension is linear in the
+    probabilities: the errors |fg - p| are 1 - p on members and p
+    elsewhere, so the loss is sum(probs * w) plus a constant.
     """
     n, c = probs.data.shape
     targets = _check_targets(n, c, targets)
     if not np.all(np.isfinite(probs.data)):
         raise NumericsError("non-finite probabilities")
-    predicted = np.argmax(probs.data, axis=1)
-    considered = np.union1d(targets, predicted)
-    terms = []
-    for cls in considered:
-        fg = (targets == cls).astype(np.float64)
-        p_c = ad.take_per_row(probs, np.full(n, cls))
-        # |fg - p|: 1-p on members, p elsewhere; fg is 0/1 so this is linear
-        signs = np.where(fg > 0.5, -1.0, 1.0)
-        errors = p_c * signs + fg
-        order = np.argsort(-errors.data, kind="stable")
-        grad = _jaccard_grad(fg[order])
-        terms.append(ad.reduce_sum(ad.take1d(errors, order) * grad))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(considered))
+    considered = np.zeros(c, dtype=bool)
+    considered[targets] = True
+    considered[np.argmax(probs.data, axis=1)] = True
+    fg = np.zeros((n, c))
+    fg[np.arange(n), targets] = 1.0
+    signs = 1.0 - 2.0 * fg
+    errors = probs.data * signs + fg
+    order = np.argsort(-errors, axis=0, kind="stable")
+    jac = np.empty((n, c))  # Jaccard increment of each (row, class) error
+    np.put_along_axis(jac, order, _jaccard_grad(np.take_along_axis(fg, order, axis=0)),
+                      axis=0)
+    jac[:, ~considered] = 0.0
+    loss = ad.reduce_sum(probs * (signs * jac)) + float(np.sum(fg * jac))
+    return loss * (1.0 / int(considered.sum()))
 
 
 def consistency_hard(codes: np.ndarray, instance_ids: np.ndarray) -> float:
@@ -95,14 +104,14 @@ def consistency_hard(codes: np.ndarray, instance_ids: np.ndarray) -> float:
     instance_ids = np.asarray(instance_ids, dtype=np.int64).reshape(-1)
     if len(codes) != len(instance_ids):
         raise ValidationError("codes/instance length mismatch")
-    ids = np.unique(instance_ids[instance_ids > 0])
-    if len(ids) == 0:
+    keep = instance_ids > 0
+    if not np.any(keep):
         return 0.0
-    acc = 0.0
-    for h in ids:
-        distinct = len(np.unique(codes[instance_ids == h]))
-        acc += 1.0 - 1.0 / distinct
-    return acc / len(ids)
+    codes = codes[keep] - codes[keep].min()
+    span = codes.max() + 1  # one integer key per (instance, class) pair
+    pairs = np.unique(instance_ids[keep] * span + codes)
+    _, distinct = np.unique(pairs // span, return_counts=True)
+    return float(np.mean(1.0 - 1.0 / distinct))
 
 
 def consistency_soft(probs: Tensor, instance_ids) -> Tensor:
@@ -118,18 +127,16 @@ def consistency_soft(probs: Tensor, instance_ids) -> Tensor:
         raise ValidationError("probs/instance length mismatch")
     if not np.all(np.isfinite(probs.data)):
         raise NumericsError("non-finite probabilities")
-    ids = np.unique(instance_ids[instance_ids > 0])
-    if len(ids) == 0:
+    members = np.flatnonzero(instance_ids > 0)
+    if len(members) == 0:
         return Tensor(0.0)
-    terms = []
-    for h in ids:
-        rows = np.flatnonzero(instance_ids == h)
-        q = ad.reduce_sum(ad.gather_rows(probs, rows), axis=0) * (1.0 / len(rows))
-        terms.append(1.0 - ad.reduce_sum(q * q))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(ids))
+    _, which, counts = np.unique(instance_ids[members], return_inverse=True,
+                                 return_counts=True)
+    h = len(counts)
+    mean_rows = np.zeros((h, n))  # row j averages the points of instance j
+    mean_rows[which, members] = 1.0 / counts[which]
+    q = ad.matmul(Tensor(mean_rows), probs)
+    return (h - ad.reduce_sum(q * q)) * (1.0 / h)
 
 
 def total_loss(logits: Tensor, targets, instance_ids):

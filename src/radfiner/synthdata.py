@@ -19,7 +19,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ValidationError
-from .scans import NUM_CLASSES, MovingPrediction, RadarScan, SemanticClass
+from .scans import (NUM_CLASSES, THING_CLASSES, MovingPrediction, RadarScan,
+                    SemanticClass)
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,7 @@ class SceneConfig:
             raise ConfigError("range interval too narrow to fit the requested instances")
         if self.doppler_noise <= 0 or self.static_rcs_spread <= 0 or self.near_sigma <= 0:
             raise ConfigError("noise scales must be positive")
-        for code in (SemanticClass.CAR, SemanticClass.PEDESTRIAN,
-                     SemanticClass.PEDESTRIAN_GROUP, SemanticClass.BIKE,
-                     SemanticClass.TRUCK):
+        for code in THING_CLASSES:
             if code not in self.profiles:
                 raise ConfigError(f"missing class profile for {code.name}")
 
@@ -126,10 +125,6 @@ def generate_scene(config: SceneConfig, seed: int, scan_id: str | None = None) -
     if scan_id is None:
         scan_id = str(int(seed))
 
-    thing_codes = np.array([SemanticClass.CAR, SemanticClass.PEDESTRIAN,
-                            SemanticClass.PEDESTRIAN_GROUP, SemanticClass.BIKE,
-                            SemanticClass.TRUCK], dtype=np.int64)
-
     xy, rcs, dop, sem, inst = [], [], [], [], []
 
     def add(points, rcs_vals, dop_vals, code, iid):
@@ -147,7 +142,7 @@ def generate_scene(config: SceneConfig, seed: int, scan_id: str | None = None) -
 
     n_inst = int(rng.integers(config.instances_per_scan[0], config.instances_per_scan[1] + 1))
     for iid in range(1, n_inst + 1):
-        code = SemanticClass(int(thing_codes[rng.integers(len(thing_codes))]))
+        code = THING_CLASSES[rng.integers(len(THING_CLASSES))]
         prof = config.profiles[code]
         if code in (SemanticClass.PEDESTRIAN, SemanticClass.BIKE):
             # lone pedestrians and two-wheelers keep to the margins rather

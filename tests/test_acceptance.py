@@ -7,6 +7,8 @@ seeded, so the numbers here reproduce bit-for-bit on rerun.
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -247,34 +249,48 @@ DESK_EPS = dict(eps_boundary=0.15, eps_clutter=0.2, eps_merge=0.2,
                 eps_miss=0.05)
 
 
+def _desk_arm(train_scans, test_scans, test_preds, net_kwargs, aug_kwargs):
+    """Train one desk arm and return its refined test PQ."""
+    net = RadFinerNet(NetworkConfig(d1=32, d2=64, seed=0, **net_kwargs))
+    tcfg = TrainConfig(epochs=40, batch_size=4, lr=0.001,
+                       lr_drop_epoch=32, seed=0)
+    net, _ = train(train_scans, net, tcfg, AugmentConfig(**aug_kwargs))
+    stats = evaluate_split(test_scans, test_preds, net=net, refine=True,
+                           refine_mode="split")
+    return panoptic_quality(stats)[1]
+
+
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Reference corpus and the three desk trainings shared by 6a/6b/7."""
+    """Reference corpus and the three desk trainings shared by 6a/6b/7.
+
+    The arms train in two spawned worker processes with single-threaded
+    BLAS: the last bits of a BLAS product depend on its thread count, so
+    pinning it makes the PQs independent of the machine's core count,
+    and one thread per arm leaves the second core to the other arm.
+    """
     t0 = time.perf_counter()
     train_scans = generate_corpus(SceneConfig(seed=1), 250)
     test_scans = generate_corpus(SceneConfig(seed=2), 50)
     train_preds = surrogate_corpus(train_scans, SurrogateConfig(seed=3, **DESK_EPS))
     test_preds = surrogate_corpus(test_scans, SurrogateConfig(seed=4, **DESK_EPS))
 
-    base = panoptic_quality(evaluate_split(test_scans, test_preds, net=None))[1]
-
-    def arm(net_kwargs, aug_kwargs):
-        net = RadFinerNet(NetworkConfig(d1=32, d2=64, seed=0, **net_kwargs))
-        tcfg = TrainConfig(epochs=40, batch_size=4, lr=0.001,
-                           lr_drop_epoch=32, seed=0)
-        net, _ = train(train_scans, net, tcfg, AugmentConfig(**aug_kwargs))
-        stats = evaluate_split(test_scans, test_preds, net=net, refine=True,
-                               refine_mode="split")
-        return panoptic_quality(stats)[1]
-
-    runs = {
-        "baseline": base,
-        "refined": arm({}, dict(p_instance=0.4, p_scan=0.4)),
-        "refined_noaug": arm({}, dict(p_instance=0.0, p_scan=0.0)),
-        "refined_nmax4": arm(dict(n_max=4), dict(p_instance=0.4, p_scan=0.4)),
-        "runtime": time.perf_counter() - t0,
+    arms = {
+        "refined": ({}, dict(p_instance=0.4, p_scan=0.4)),
+        "refined_noaug": ({}, dict(p_instance=0.0, p_scan=0.0)),
+        "refined_nmax4": (dict(n_max=4), dict(p_instance=0.4, p_scan=0.4)),
     }
-    return runs
+    with pytest.MonkeyPatch.context() as mp:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            mp.setenv(var, "1")  # read by each worker's numpy at import
+        with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+            futures = {name: pool.submit(_desk_arm, train_scans, test_scans,
+                                         test_preds, *kwargs)
+                       for name, kwargs in arms.items()}
+            base = panoptic_quality(evaluate_split(test_scans, test_preds,
+                                                   net=None))[1]
+            runs = {name: f.result() for name, f in futures.items()}
+    return {"baseline": base, **runs, "runtime": time.perf_counter() - t0}
 
 
 def test_criterion_6_end_to_end_refinement_value(desk_runs):

@@ -47,11 +47,9 @@ def test_add_sub_mul_div_broadcast():
     r = _rng()
     a = r.normal(size=(3, 4))
     b = r.normal(size=(4,))
-    c = r.normal(size=(3, 1)) + 2.0  # keep away from 0 for div
     _check(lambda x, y: ad.reduce_sum(x + y), a, b)
     _check(lambda x, y: ad.reduce_sum(x - y), a, b)
     _check(lambda x, y: ad.reduce_sum(x * y), a, b)
-    _check(lambda x, y: ad.reduce_sum(x / y), a, c)
 
 
 def test_pow_const():
@@ -160,16 +158,6 @@ def test_gather_rows_accumulates_duplicates():
     assert np.allclose(t.grad[3], 0.0)
 
 
-def test_take_per_row_and_take1d():
-    r = _rng()
-    a = r.normal(size=(4, 3))
-    cols = np.array([2, 0, 1, 2])
-    _check(lambda x: ad.reduce_sum(ad.take_per_row(x, cols)), a)
-    v = r.normal(size=(6,))
-    idx = np.array([5, 5, 0, 3])
-    _check(lambda x: ad.reduce_sum(ad.take1d(x, idx) * np.array([1.0, 2.0, 3.0, 4.0])), v)
-
-
 def test_reduce_sum_axes_and_keepdims():
     r = _rng()
     a = r.normal(size=(2, 3, 4))
@@ -177,20 +165,6 @@ def test_reduce_sum_axes_and_keepdims():
     _check(lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=(0, 2)) * w), a)
     w2 = r.normal(size=(2, 1, 4))
     _check(lambda x: ad.reduce_sum(ad.reduce_sum(x, axis=1, keepdims=True) * w2), a)
-
-
-def test_reduce_mean_matches_manual():
-    r = _rng()
-    a = r.normal(size=(3, 4))
-    m = ad.reduce_mean(ad.Tensor(a), axis=0)
-    assert np.allclose(m.data, a.mean(axis=0), atol=1e-15)
-
-
-def test_reshape_roundtrip_gradient():
-    r = _rng()
-    a = r.normal(size=(2, 6))
-    w = r.normal(size=(3, 4))
-    _check(lambda x: ad.reduce_sum(ad.reshape(x, (3, 4)) * w), a)
 
 
 def test_backward_requires_scalar_root():

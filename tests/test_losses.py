@@ -42,6 +42,26 @@ def _lovasz_ref(probs: np.ndarray, targets: np.ndarray) -> float:
     return total / len(considered)
 
 
+def _consistency_refs(probs: np.ndarray, codes: np.ndarray, ids: np.ndarray):
+    """Loop forms of both consistency losses and the soft form's
+    gradient, one instance at a time."""
+    n, c = probs.shape
+    instances = sorted({int(h) for h in ids if h > 0})
+    soft, hard = 0.0, 0.0
+    grad = np.zeros((n, c))
+    for h in instances:
+        rows = [i for i in range(n) if ids[i] == h]
+        q = [sum(probs[i, k] for i in rows) / len(rows) for k in range(c)]
+        soft += 1.0 - sum(v * v for v in q)
+        hard += 1.0 - 1.0 / len({int(codes[i]) for i in rows})
+        for i in rows:  # d(-sum_k q_k^2)/dp_ik = -2 q_k / |rows|
+            grad[i] = [-2.0 * q[k] / len(rows) for k in range(c)]
+    if not instances:
+        return 0.0, 0.0, grad
+    h = len(instances)
+    return soft / h, hard / h, grad / h
+
+
 def _probs(rows) -> Tensor:
     return Tensor(np.array(rows, dtype=np.float64))
 
@@ -96,6 +116,46 @@ def test_lovasz_matches_loop_reference_on_random_inputs():
         got = losses.lovasz_softmax(_probs(probs), targets).item()
         ref = _lovasz_ref(probs, targets)
         assert abs(got - ref) < 1e-12, f"trial {trial}"
+
+
+def test_consistency_matches_loop_reference_on_random_inputs():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(1, 14))
+        c = int(rng.integers(2, 7))
+        raw = rng.random((n, c)) + 1e-3
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        codes = rng.integers(0, c, size=n)
+        # id 0 rows, gaps in the ids and one-point instances all occur
+        ids = rng.choice([0, 1, 4, 9], size=n)
+        soft_ref, hard_ref, grad_ref = _consistency_refs(probs, codes, ids)
+        t = Tensor(probs, requires_grad=True)
+        soft = losses.consistency_soft(t, ids)
+        assert abs(soft.item() - soft_ref) < 1e-12, f"trial {trial}"
+        if soft.requires_grad:
+            ad.backward(soft)
+            assert np.max(np.abs(t.grad - grad_ref)) < 1e-12, f"trial {trial}"
+        else:
+            assert not np.any(ids > 0)
+        assert abs(losses.consistency_hard(codes, ids) - hard_ref) < 1e-12, f"trial {trial}"
+
+
+def test_cross_entropy_matches_numpy_log_softmax():
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        n = int(rng.integers(1, 12))
+        c = int(rng.integers(2, 7))
+        logits = rng.normal(scale=3.0, size=(n, c))
+        targets = rng.integers(0, c, size=n)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        t = Tensor(logits, requires_grad=True)
+        ce = losses.cross_entropy(t, targets)
+        assert abs(ce.item() + log_p[np.arange(n), targets].mean()) < 1e-12
+        ad.backward(ce)
+        expected = np.exp(log_p)
+        expected[np.arange(n), targets] -= 1.0
+        assert np.max(np.abs(t.grad - expected / n)) < 1e-12, f"trial {trial}"
 
 
 def test_lovasz_counts_predicted_only_classes():

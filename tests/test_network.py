@@ -100,9 +100,12 @@ def test_checkpoint_mismatches_rejected(tmp_path):
     with pytest.raises(ConfigError):
         RadFinerNet.load(path2, cfg)
     bad = tmp_path / "bad.ckpt"
-    bad.write_text("#radfiner-ckpt v1\nw 2 2 2 1.0 2.0 3.0\n")
-    with pytest.raises(DataFormatError):
-        checkpoint.load_entries(bad)
+    for entry in ("w 2 2 2 1.0 2.0 3.0",
+                  "w 2 -2 -3 1.0 2.0 3.0 4.0 5.0 6.0",  # product matches the count
+                  "w 2 4294967296 4294967296"):  # product wraps to 0 in int64
+        bad.write_text(f"#radfiner-ckpt v1\n{entry}\n")
+        with pytest.raises(DataFormatError):
+            checkpoint.load_entries(bad)
     bad.write_text("#other\n")
     with pytest.raises(DataFormatError):
         checkpoint.load_entries(bad)

@@ -9,7 +9,8 @@ import pytest
 import radfiner.cli as cli
 from radfiner.configio import (augment_config, known_keys, load_config,
                                net_config, parse_config, scene_config,
-                               surrogate_config, train_config)
+                               surrogate_config, train_config,
+                               write_net_config)
 from radfiner.errors import ConfigError, DataFormatError
 from radfiner.metrics import panoptic_quality
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
@@ -250,6 +251,20 @@ def test_forged_point_count_exits_two(tmp_path, capsys):
         assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 2
         assert f"{name}:2: point count 100000000000 runs past" in capsys.readouterr().err
         (data / name).write_text(good)
+
+
+def test_forged_checkpoint_shape_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "1"]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    write_net_config(run / "net.cfg", toy_config())
+    forged = run / "forged.ckpt"
+    for entry in ("w 2 -2 -3 1.0 2.0 3.0 4.0 5.0 6.0", "w 2 4294967296 4294967296"):
+        forged.write_text(f"#radfiner-ckpt v1\n{entry}\n")
+        assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+                         "--checkpoint", str(forged)]) == 2
+        assert "forged.ckpt:2:" in capsys.readouterr().err
 
 
 def test_bad_config_file_exits_two(tmp_path):
