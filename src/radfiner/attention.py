@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Param, Tensor
 from .errors import ConfigError
-from .layers import BatchNorm
+from .layers import BatchNorm, fold_bn
 from .neighborhood import Neighborhood
 
 PAD_MODES = ("mask", "zeropad")
@@ -54,16 +54,6 @@ class PositionalEncoder:
         h = ad.matmul(Tensor(rel_pos), self.w1)
         h = self.bn(h, valid=valid, training=training, zero_invalid=zero_invalid)
         return ad.matmul(ad.relu(h), self.w2)
-
-    def infer(self, rel_pos: np.ndarray) -> np.ndarray:
-        """Eval-mode encoding in single precision, padding not zeroed
-        (callers that need padded slots dead must mask downstream)."""
-        h = rel_pos.astype(np.float32) @ self.w1.data.astype(np.float32)
-        scale, shift = self.bn.eval_affine(np.float32)
-        h *= scale
-        h += shift
-        np.maximum(h, 0.0, out=h)
-        return h @ self.w2.data.astype(np.float32)
 
     def params(self):
         return [self.w1, *self.bn.params(), self.w2]
@@ -127,54 +117,46 @@ class RadiusAttention:
     def infer(self, x: np.ndarray, nb: Neighborhood) -> np.ndarray:
         """Eval-mode attention in single precision without the tape.
 
-        Same math as __call__ with training=False, restructured for
-        speed: Q and K are gathered at the same indices, so (Q-K) is one
-        matmul against (Wq - Wk) gathered once; in masked mode the
-        values of padded slots never reach the output (the softmax and
-        the weighted sum both zero them), so intermediate re-zeroing is
-        skipped.  Gathered values at padded slots are copies of row 0,
-        hence bounded, so the skipped masking cannot overflow the exp.
+        Same math as __call__ with training=False.  Each eval-mode norm
+        is folded into the linear map beside it on every call, in
+        float64 and cast once to float32: mlp_bn1's scale into (Wq - Wk)
+        (one gather, as Q and K share their indices) and into the
+        positional W2 of the attention branch; mlp_bn2 into mlp_w1 plus
+        a bias; the positional norm into its W1 plus a bias.  Slot 0,
+        the anchor, is always valid, so each softmax row has a finite
+        maximum and a denominator of at least 1: both pad modes share
+        one softmax, masked mode setting the padded logits to -inf.
         """
         f32 = np.float32
-        masked = self.pad_mode == "mask"
         n, m = nb.indices.shape
-        flat = (n * m, self.width)
+        scale1, shift1 = self.mlp_bn1.eval_affine()
+        pos_w1, pos_b1 = fold_bn(self.pos.w1.data, 0.0, self.pos.bn)
+        mlp_w1, mlp_b1 = fold_bn(self.mlp_w1.data, 0.0, self.mlp_bn2)
 
-        dqk = x @ (self.wq.data - self.wk.data).astype(f32)
-        v = x @ self.wv.data.astype(f32)
-        a = dqk[nb.indices]
-        vg = v[nb.indices]
-        if not masked:
-            mask3 = nb.valid[..., None]
-            a *= mask3
-            vg *= mask3
-        r = self.pos.infer(nb.rel_pos)
-        a += r
-
-        scale, shift = self.mlp_bn1.eval_affine(f32)
-        a *= scale
-        a += shift
-        np.maximum(a, 0.0, out=a)
-        a = (a.reshape(flat) @ self.mlp_w1.data.astype(f32)).reshape(n, m, -1)
-        scale, shift = self.mlp_bn2.eval_affine(f32)
-        a *= scale
-        a += shift
-        np.maximum(a, 0.0, out=a)
-        a = (a.reshape(flat) @ self.mlp_w2.data.astype(f32)).reshape(n, m, -1)
-
-        # channel-wise softmax over the slot axis, padded slots excluded
-        if masked:
-            hi = np.where(nb.valid[..., None], a, -np.inf).max(axis=1, keepdims=True)
-            np.subtract(a, np.where(np.isfinite(hi), hi, 0.0), out=a)
-            np.exp(a, out=a)
+        hp = nb.rel_pos.reshape(n * m, 2).astype(f32) @ pos_w1.astype(f32)
+        hp += pos_b1.astype(f32)
+        np.maximum(hp, 0.0, out=hp)
+        a = (x @ ((self.wq.data - self.wk.data) * scale1).astype(f32))[nb.indices]
+        vg = (x @ self.wv.data.astype(f32))[nb.indices]
+        if self.pad_mode == "zeropad":
             a *= nb.valid[..., None]
-        else:
-            np.subtract(a, a.max(axis=1, keepdims=True), out=a)
-            np.exp(a, out=a)
-        denom = a.sum(axis=1, keepdims=True)
-        np.divide(a, np.where(denom > 0.0, denom, 1.0), out=a)
+            vg *= nb.valid[..., None]
+        a = a.reshape(n * m, -1)
+        a += hp @ (self.pos.w2.data * scale1).astype(f32)
+        a += shift1.astype(f32)
+        np.maximum(a, 0.0, out=a)
+        a = a @ mlp_w1.astype(f32)
+        a += mlp_b1.astype(f32)
+        np.maximum(a, 0.0, out=a)
+        a = (a @ self.mlp_w2.data.astype(f32)).reshape(n, m, -1)
 
-        vg += r
+        # channel-wise softmax over the slot axis
+        if self.pad_mode == "mask":
+            a[~nb.valid] = -np.inf
+        a -= a.max(axis=1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=1, keepdims=True)
+        vg += (hp @ self.pos.w2.data.astype(f32)).reshape(n, m, -1)
         return np.einsum("nmd,nmd->nd", a, vg)
 
     def params(self):

@@ -220,13 +220,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
+    # backward closes over the array, not over `out`: a node whose closure
+    # held the node itself would be a reference cycle
+    y = np.exp(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * out.data)
+            a.accumulate_grad(g * y)
 
-    return _record(out, (a,), backward)
+    return _record(Tensor(y), (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -285,15 +287,14 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
     ex = np.exp(x - shift) * mask
     denom = ex.sum(axis=axis, keepdims=True)
     safe = np.where(denom > 0.0, denom, 1.0)
-    out = Tensor(ex / safe)
+    s = ex / safe
 
     def backward(g):
         if a.requires_grad:
-            s = out.data
             inner = (g * s).sum(axis=axis, keepdims=True)
             a.accumulate_grad(s * (g - inner))
 
-    return _record(out, (a,), backward)
+    return _record(Tensor(s), (a,), backward)
 
 
 # --------------------------------------------------------------------------

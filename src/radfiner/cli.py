@@ -10,6 +10,7 @@ validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -118,10 +119,9 @@ def _cmd_generate(args) -> int:
 
     if args.workers > 1 and args.count > 1:
         from multiprocessing import get_context
-        global _GEN_CFG
-        _GEN_CFG = scene_cfg
         with get_context("fork").Pool(args.workers) as pool:
-            scans = pool.map(_generate_one, range(args.count))
+            scans = pool.map(functools.partial(generate_scene, scene_cfg),
+                             range(args.count))
     else:
         scans = [generate_scene(scene_cfg, i) for i in range(args.count)]
     preds = [surrogate_backbone(s, surr_cfg, i) for i, s in enumerate(scans)]
@@ -138,13 +138,6 @@ def _cmd_generate(args) -> int:
                     {"total": time.perf_counter() - t0})
     print(f"wrote {len(scans)} scans to {out_dir}")
     return 0
-
-
-_GEN_CFG = None
-
-
-def _generate_one(i: int):
-    return generate_scene(_GEN_CFG, i)
 
 
 # -- train --------------------------------------------------------------------

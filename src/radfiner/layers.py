@@ -31,6 +31,13 @@ class Linear:
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray, bn: BatchNorm | None = None) -> np.ndarray:
+        """Single-precision x @ W + b; an eval-mode `bn` after it is folded in."""
+        weight, bias = self.weight.data, 0.0 if self.bias is None else self.bias.data
+        if bn is not None:
+            weight, bias = fold_bn(weight, bias, bn)
+        return x @ weight.astype(np.float32) + np.asarray(bias, dtype=np.float32)
+
     def params(self) -> list[Param]:
         ps = [self.weight]
         if self.bias is not None:
@@ -110,11 +117,11 @@ class BatchNorm:
             out = out * mask_col
         return out
 
-    def eval_affine(self, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode folded to one affine map: y = x * scale + shift."""
         scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
         shift = self.beta.data - self.running_mean * scale
-        return scale.astype(dtype), shift.astype(dtype)
+        return scale, shift
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
@@ -128,3 +135,10 @@ class BatchNorm:
         self.running_var = np.array(entries[f"{self.name}.running_var"], dtype=np.float64)
         if self.running_mean.shape != (self.width,) or self.running_var.shape != (self.width,):
             raise ValueError(f"{self.name}: running stats have wrong shape")
+
+
+def fold_bn(weight: np.ndarray, bias, bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode `bn` after `x @ weight + bias`, folded in float64 into
+    one map `x @ weight' + bias'` from the current statistics."""
+    scale, shift = bn.eval_affine()
+    return weight * scale, bias * scale + shift

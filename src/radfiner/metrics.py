@@ -41,9 +41,6 @@ class PanopticStats:
         self.confusion += other.confusion
         return self
 
-    def total_points(self) -> int:
-        return int(self.confusion.sum())
-
 
 def _segments(classes: np.ndarray, ids: np.ndarray, code: int) -> list[np.ndarray]:
     """Point-index segments of one thing class.

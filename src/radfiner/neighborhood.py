@@ -7,11 +7,11 @@ broken by original point index, truncated at the cap.  Unused slots
 are padded with index 0, valid=False and zero relative position, so
 downstream code can gather unconditionally and mask.
 
-Two implementations with identical output: a uniform-grid hash (cell
-size = radius, so the 3x3 cell block around a point covers its ball)
-and an O(N^2) brute force kept as the correctness reference.  Both
-compute squared distances with the same expression so that distance
-ties land on bitwise-equal floats.
+Two implementations with identical output: a KD-tree search (Bentley,
+CACM 1975) that collects every candidate pair at once and ranks each
+row in one padded array, and an O(N^2) brute force kept as the
+correctness reference.  Both compute squared distances with the same
+helper, so distance ties land on bitwise-equal floats.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, ValidationError
 
@@ -57,58 +58,43 @@ def _check_inputs(points: np.ndarray, radius: float, n_max: int) -> np.ndarray:
 
 
 def _finish(points, indices, valid) -> Neighborhood:
-    rel = points[:, None, :] - points[indices]
+    rel = points[:, None, :] - points.take(indices, axis=0)
     rel[~valid] = 0.0
     return Neighborhood(indices, valid, rel)
 
 
+def _d2(diff: np.ndarray) -> np.ndarray:
+    return diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+
+
 def ball_query(points, radius: float, n_max: int) -> Neighborhood:
-    """Grid-accelerated search; output contract identical to brute force."""
+    """KD-tree search; output contract identical to brute force."""
     points = _check_inputs(points, radius, n_max)
     n = len(points)
     indices = np.zeros((n, n_max), dtype=np.int64)
     valid = np.zeros((n, n_max), dtype=bool)
-    if n == 0:
-        return Neighborhood(indices, valid, np.zeros((0, n_max, 2)))
     indices[:, 0] = np.arange(n)
     valid[:, 0] = True
-    if n_max == 1 or n == 1:
-        return _finish(points, indices, valid)
 
-    r2 = radius * radius
-    keep = n_max - 1
-    # cell slightly wider than the radius so floor() rounding can never
-    # push a boundary point outside the 3x3 candidate block
-    cell = radius * (1.0 + 1e-9)
-    cells = np.floor(points / cell).astype(np.int64)
-    cells -= cells.min(axis=0)
-    span = int(cells[:, 1].max()) + 1
-    key = cells[:, 0] * span + cells[:, 1]
-    order = np.lexsort((np.arange(n), key))
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    ends = np.r_[starts[1:], n]
-    table = {}
-    for s, e in zip(starts, ends):
-        members = order[s:e]
-        k = int(sorted_key[s])
-        table[(k // span, k % span)] = members
+    # the tree proposes pairs from a slightly wider ball; _d2 decides
+    pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    # both directions of every pair, grouped by anchor, neighbors ascending
+    key = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                  pairs[:, 1] * n + pairs[:, 0]]))
+    anchor, other = np.divmod(key, n)
+    d2 = _d2(points.take(anchor, axis=0) - points.take(other, axis=0))
+    inside = d2 <= radius * radius
+    anchor, other, d2 = anchor[inside], other[inside], d2[inside]
 
-    offsets = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
-    for (ca, cb), anchors in table.items():
-        blocks = [table.get((ca + da, cb + db)) for da, db in offsets]
-        cand = np.concatenate([b for b in blocks if b is not None])
-        diff = points[anchors][:, None, :] - points[cand][None, :, :]
-        d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-        for row, anchor in enumerate(anchors):
-            within = d2[row] <= r2
-            within[cand == anchor] = False
-            sel = cand[within]
-            dd = d2[row][within]
-            best = sel[np.lexsort((sel, dd))[:keep]]
-            m = len(best)
-            indices[anchor, 1:1 + m] = best
-            valid[anchor, 1:1 + m] = True
+    # one padded row per anchor; the stable sort keeps index order on ties
+    counts = np.bincount(anchor, minlength=n)
+    starts = np.cumsum(counts) - counts
+    dist = np.full((n, max(int(counts.max(initial=0)), n_max - 1)), np.inf)
+    dist[anchor, np.arange(len(anchor)) - starts[anchor]] = d2
+    near = np.argsort(dist, axis=1, kind="stable")[:, :n_max - 1]
+    found = near < counts[:, None]
+    indices[:, 1:][found] = other[(starts[:, None] + near)[found]]
+    valid[:, 1:] = found
     return _finish(points, indices, valid)
 
 
@@ -123,8 +109,7 @@ def ball_query_bruteforce(points, radius: float, n_max: int) -> Neighborhood:
     r2 = radius * radius
     keep = n_max - 1
     for i in range(n):
-        diff = points[i] - points
-        d2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+        d2 = _d2(points[i] - points)
         within = d2 <= r2
         within[i] = False
         others = np.flatnonzero(within)

@@ -74,13 +74,6 @@ def _gelu32(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lin32(x: np.ndarray, lin: Linear) -> np.ndarray:
-    out = x @ lin.weight.data.astype(np.float32)
-    if lin.bias is not None:
-        out += lin.bias.data.astype(np.float32)
-    return out
-
-
 class FeedForward:
     """linear -> GELU -> linear, biases on."""
 
@@ -93,7 +86,7 @@ class FeedForward:
         return self.lin2(ad.gelu(self.lin1(x)))
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        return _lin32(_gelu32(_lin32(x, self.lin1)), self.lin2)
+        return self.lin2.infer(_gelu32(self.lin1.infer(x)))
 
     def params(self):
         return [*self.lin1.params(), *self.lin2.params()]
@@ -120,12 +113,7 @@ class HeadMLP:
         return self.lin2(ad.gelu(h))
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        h = _lin32(x, self.lin1)
-        if self.bn is not None:
-            scale, shift = self.bn.eval_affine(np.float32)
-            h *= scale
-            h += shift
-        return _lin32(_gelu32(h), self.lin2)
+        return self.lin2.infer(_gelu32(self.lin1.infer(x, self.bn)))
 
     def params(self):
         ps = self.lin1.params()

@@ -353,7 +353,7 @@ def test_criterion_8_throughput():
     t_grid = min(_timed(ball_query, pts) for _ in range(3))
     t_brute = min(_timed(ball_query_bruteforce, pts) for _ in range(3))
     assert t_grid * 5.0 <= t_brute, (
-        f"grid {1e3 * t_grid:.1f} ms not 5x faster than brute "
+        f"ball_query {1e3 * t_grid:.1f} ms not 5x faster than brute "
         f"{1e3 * t_brute:.1f} ms")
     report(f"[criterion 8] PASS throughput on {_cpu_model()}: mean "
            f"{mean_ms:.1f} ms (p95 {1e3 * np.percentile(times, 95):.1f} ms) "

@@ -6,10 +6,15 @@ for these sizes, so this margin is generous but still catches any wrong
 Jacobian term).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from radfiner import autodiff as ad
+from radfiner.losses import total_loss
+from radfiner.network import RadFinerNet, toy_config
 
 
 def _numeric_grad(fn, x, h=1e-6):
@@ -215,3 +220,35 @@ def test_diamond_graph_accumulates_once_per_path():
     out = b * c  # d/dp (6 p^2) = 12 p
     ad.backward(out)
     assert np.allclose(p.grad, 12.0 * 1.5)
+
+
+def test_graph_is_freed_by_reference_counting():
+    # a backward closure that holds its own output node makes the graph a
+    # reference cycle, which lives on until the cyclic collector runs
+    r = _rng()
+    valid = np.ones((3, 5), dtype=bool)
+    valid[1, 2:] = False
+    gc.collect()
+    gc.disable()
+    try:
+        probs = ad.masked_softmax(ad.Tensor(r.normal(size=(3, 5)), requires_grad=True),
+                                  valid, axis=1)
+        loss = ad.exp(ad.reduce_sum(probs * r.normal(size=(3, 5))))
+        ad.backward(loss)
+        # Tensor has no weakref slot; its data array dies with it
+        alive = [weakref.ref(loss.data), weakref.ref(probs.data)]
+        del loss, probs
+        assert [ref() for ref in alive] == [None, None]
+
+        # one whole training step leaves no cyclic garbage either
+        net = RadFinerNet(toy_config())
+        coords = r.uniform(-5, 5, size=(9, 2))
+        feats = np.zeros((9, 5))
+        feats[:, 0:2] = coords
+        logits = net.forward(coords, feats, training=True)
+        loss, _ = total_loss(logits, r.integers(0, 6, 9), r.integers(0, 3, 9))
+        ad.backward(loss)
+        del logits, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,4 @@
-"""Ball-query contracts: hand-derived rows, grid vs brute force, padding."""
+"""Ball-query contracts: hand-derived rows, KD-tree vs brute force, padding."""
 
 import numpy as np
 import pytest
@@ -46,15 +46,21 @@ def test_cap_two_truncates_to_nearest():
 
 
 def test_grid_matches_bruteforce_on_random_sets():
-    for trial in range(30):
+    for trial in range(60):
         rng = np.random.default_rng(100 + trial)
-        n = int(rng.integers(1, 120))
-        pts = rng.uniform(-20, 20, size=(n, 2))
-        # duplicated coordinates force exact-tie handling through both paths
-        if n > 4:
-            pts[3] = pts[1]
-        radius = float(rng.uniform(0.5, 8.0))
-        n_max = int(rng.integers(1, 12))
+        n = int(rng.integers(0, 120)) if trial % 10 else int(rng.integers(0, 4))
+        if trial % 2:
+            # integer lattice with integer radius: exact distance ties,
+            # repeated points and pairs exactly on the radius
+            pts = rng.integers(-5, 6, size=(n, 2)).astype(np.float64)
+            radius = float(rng.integers(1, 4))
+        else:
+            pts = rng.uniform(-20, 20, size=(n, 2))
+            # duplicated coordinates force exact-tie handling through both paths
+            if n > 4:
+                pts[3] = pts[1]
+            radius = float(rng.uniform(0.5, 8.0))
+        n_max = int(rng.integers(1, 30))
         a = ball_query(pts, radius, n_max)
         b = ball_query_bruteforce(pts, radius, n_max)
         assert np.array_equal(a.indices, b.indices), f"trial {trial}"

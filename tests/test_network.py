@@ -125,20 +125,48 @@ def test_argmax_prefers_lowest_code_on_ties():
 ])
 def test_infer_matches_tape_forward(cfg):
     # the fast single-precision path must agree with the tape forward in
-    # eval mode up to float32 round-off, on fresh and on perturbed
-    # running statistics
+    # eval mode up to float32 round-off, on perturbed running statistics
+    # and then also on perturbed gamma/beta (at gamma=1, beta=0 a fold
+    # that drops either one would still agree)
     net = RadFinerNet(cfg)
     rng = np.random.default_rng(11)
     for bn in net.bn_layers():
         bn.running_mean = rng.normal(0.0, 0.05, bn.width)
         bn.running_var = np.exp(rng.normal(0.0, 0.1, bn.width))
-    for n in (1, 5, 33):
-        coords, feats = _scan(seed=n, n=n)
-        with ad.no_grad():
-            ref = net.forward(coords, feats, training=False).data
-        fast = net.infer(coords, feats)
-        assert fast.dtype == np.float32
-        assert np.allclose(fast, ref, rtol=1e-3, atol=1e-4)
+    for affine in (False, True):
+        if affine:
+            for bn in net.bn_layers():
+                bn.gamma.data = np.exp(rng.normal(0.0, 0.2, bn.width))
+                bn.beta.data = rng.normal(0.0, 0.2, bn.width)
+        for n in (1, 5, 33):
+            coords, feats = _scan(seed=n, n=n)
+            with ad.no_grad():
+                ref = net.forward(coords, feats, training=False).data
+            fast = net.infer(coords, feats)
+            assert fast.dtype == np.float32
+            assert np.allclose(fast, ref, rtol=1e-3, atol=1e-4)
+
+
+def test_infer_calls_every_stage_once():
+    # the benchmark times these stages by wrapping each one's `infer` on
+    # the instance; a stage that `net.infer` bypasses would read 0 calls
+    net = RadFinerNet(toy_config(head_norm="bn"))
+    stages = {"embed": net.embed, "block1": net.block1, "block1.attn": net.block1.attn,
+              "block2": net.block2, "block2.attn": net.block2.attn,
+              "head1": net.head1, "head2": net.head2, "head3": net.head3}
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, stage in stages.items():
+        stage.infer = counting(name, stage.infer)
+    coords, feats = _scan(seed=3, n=12)
+    net.infer(coords, feats)
+    assert calls == dict.fromkeys(stages, 1)
 
 
 def test_infer_empty_input():
