@@ -15,8 +15,8 @@ from .gradcheck import GradCheckReport, full_network_check, gradient_check
 from .layers import BatchNorm, Linear
 from .losses import (consistency_hard, consistency_soft, cross_entropy,
                      lovasz_softmax, softmax_probs, total_loss)
-from .metrics import (PanopticStats, accumulate, format_report, match_instances,
-                      mean_iou, panoptic_quality, scan_stats, write_metrics_csv)
+from .metrics import (PanopticStats, accumulate, format_report, mean_iou,
+                      panoptic_quality, scan_stats, write_metrics_csv)
 from .neighborhood import Neighborhood, ball_query, ball_query_bruteforce
 from .network import NetworkConfig, RadFinerNet, toy_config
 from .optim import AdamW
@@ -47,7 +47,7 @@ __all__ = [
     "bench_pipeline", "consistency_hard", "consistency_soft", "cross_entropy",
     "evaluate_split", "format_report", "full_network_check", "generate_corpus",
     "generate_scene", "gradient_check", "load_predictions", "load_scans",
-    "lovasz_softmax", "majority_true_panoptic", "match_instances", "mean_iou",
+    "lovasz_softmax", "majority_true_panoptic", "mean_iou",
     "panoptic_quality", "predict_panoptic", "refine_instances",
     "refinement_is_idempotent", "save_predictions", "save_scans", "scan_rng",
     "scan_stats", "select_moving", "softmax_probs", "surrogate_backbone",

@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import full_network_check
 from .metrics import format_report, mean_iou, panoptic_quality, write_metrics_csv
 from .network import RadFinerNet, toy_config
-from .pipeline import bench_pipeline, evaluate_split, pair_predictions, predict_panoptic
+from .pipeline import bench_pipeline, predict_split, score_split
 from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
 from .synthdata import generate_scene, surrogate_backbone
@@ -196,8 +196,9 @@ def _cmd_eval(args) -> int:
     else:
         net = _net_from_args(args, Path(args.checkpoint))
         refine = args.refine
-    stats = evaluate_split(scans, preds, net, refine=refine,
-                           refine_mode=args.refine_mode, workers=args.workers)
+    results = predict_split(scans, preds, net, refine=refine,
+                            refine_mode=args.refine_mode, workers=args.workers)
+    stats = score_split(results)
     report = format_report(stats)
     print(report)
     out_dir = Path(args.out) if args.out else None
@@ -206,13 +207,9 @@ def _cmd_eval(args) -> int:
         write_metrics_csv(stats, out_dir / "metrics.csv")
         (out_dir / "report.txt").write_text(report + "\n")
         if net is not None and args.refine:
-            refined = []
-            for scan, pred in pair_predictions(scans, preds):
-                pan = predict_panoptic(net, scan, pred, refine=True,
-                                       refine_mode=args.refine_mode)
-                refined.append(MovingPrediction(scan.scan_id, pan.instance > 0,
-                                                pan.instance, pan.sem))
-            save_predictions(refined, out_dir / "refined.txt")
+            save_predictions([MovingPrediction(scan.scan_id, pan.instance > 0,
+                                               pan.instance, pan.sem)
+                              for scan, pan in results], out_dir / "refined.txt")
         _write_manifest(out_dir, "eval",
                         {"data": args.data, "source": args.source,
                          "checkpoint": args.checkpoint, "refine": refine,

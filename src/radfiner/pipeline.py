@@ -11,8 +11,8 @@ Three scoring modes cover the evaluation story:
   - refined classifier: split mode, static-classified points dropped and
     mixed instances separated.
 
-Per-scan work is independent; with workers > 1 scans are scored in a
-fork pool and the per-scan stats are merged in corpus order, so results
+Per-scan work is independent; with workers > 1 scans are predicted in a
+fork pool, and the per-scan stats are merged in corpus order, so results
 are identical for any worker count.
 """
 
@@ -80,18 +80,45 @@ def score_scan(scan: RadarScan, panoptic: PanopticPrediction) -> PanopticStats:
 
 # -- split-level evaluation -------------------------------------------------
 
-_EVAL_CTX: dict = {}
+_worker_ctx: tuple = ()  # set by the initializer of each fork-pool worker
 
 
-def _eval_one(i: int) -> PanopticStats:
-    ctx = _EVAL_CTX
-    scan, pred = ctx["pairs"][i]
-    if ctx["net"] is None:
-        pan = majority_true_panoptic(scan, pred)
+def _start_worker(ctx: tuple) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _panoptic(i: int, ctx: tuple = ()) -> PanopticPrediction:
+    pairs, net, refine, refine_mode = ctx or _worker_ctx
+    scan, pred = pairs[i]
+    if net is None:
+        return majority_true_panoptic(scan, pred)
+    return predict_panoptic(net, scan, pred, refine=refine, refine_mode=refine_mode)
+
+
+def predict_split(scans: list[RadarScan], preds: list[MovingPrediction],
+                  net: RadFinerNet | None = None, refine: bool = True,
+                  refine_mode: str = "split", workers: int = 1):
+    """(scan, panoptic prediction) pairs in scan order.  net=None gives
+    the majority-true baseline."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    pairs = pair_predictions(scans, preds)
+    ctx = (pairs, net, refine, refine_mode)
+    if workers > 1 and len(pairs) > 1:
+        with get_context("fork").Pool(workers, _start_worker, (ctx,)) as pool:
+            pans = pool.map(_panoptic, range(len(pairs)))
     else:
-        pan = predict_panoptic(ctx["net"], scan, pred,
-                               refine=ctx["refine"], refine_mode=ctx["refine_mode"])
-    return score_scan(scan, pan)
+        pans = [_panoptic(i, ctx) for i in range(len(pairs))]
+    return [(scan, pan) for (scan, _), pan in zip(pairs, pans)]
+
+
+def score_split(results) -> PanopticStats:
+    """Stats of (scan, panoptic prediction) pairs, merged in their order."""
+    stats = PanopticStats()
+    for scan, pan in results:
+        stats.merge(score_scan(scan, pan))
+    return stats
 
 
 def evaluate_split(scans: list[RadarScan], preds: list[MovingPrediction],
@@ -99,22 +126,7 @@ def evaluate_split(scans: list[RadarScan], preds: list[MovingPrediction],
                    refine_mode: str = "split", workers: int = 1) -> PanopticStats:
     """Accumulated stats over the split.  net=None scores the
     majority-true baseline."""
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    pairs = pair_predictions(scans, preds)
-    _EVAL_CTX.update(pairs=pairs, net=net, refine=refine, refine_mode=refine_mode)
-    try:
-        if workers > 1 and len(pairs) > 1:
-            with get_context("fork").Pool(workers) as pool:
-                results = pool.map(_eval_one, range(len(pairs)))
-        else:
-            results = [_eval_one(i) for i in range(len(pairs))]
-    finally:
-        _EVAL_CTX.clear()
-    stats = PanopticStats()
-    for r in results:
-        stats.merge(r)
-    return stats
+    return score_split(predict_split(scans, preds, net, refine, refine_mode, workers))
 
 
 # -- latency ------------------------------------------------------------------

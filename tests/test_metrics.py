@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from radfiner.errors import ValidationError
-from radfiner.metrics import (PanopticStats, accumulate, match_instances,
-                              mean_iou, panoptic_quality, scan_stats)
+from radfiner.metrics import (PanopticStats, accumulate, mean_iou,
+                              panoptic_quality, scan_stats)
 
 C = 6
 
@@ -138,6 +138,23 @@ def test_varied_sizes_match_oracle():
         gt_c, gt_i = random_labeling(rng, n)
         pr_c, pr_i = random_labeling(rng, n)
         assert_matches_oracle(gt_c, gt_i, pr_c, pr_i)
+    # thing points with id 0 join no segment, and ids near 2**60 must key
+    # without overflow
+    rng = np.random.default_rng(80)
+    for _ in range(100):
+        n = int(rng.integers(1, 80))
+        gt_c, gt_i = random_labeling(rng, n)
+        pr_c, pr_i = random_labeling(rng, n)
+        for classes, ids in ((gt_c, gt_i), (pr_c, pr_i)):
+            orphan = (ids == 0) & (rng.random(n) < 0.3)
+            classes[orphan] = rng.integers(1, C, n)[orphan]
+        assert_matches_oracle(gt_c, gt_i, pr_c, pr_i)
+        scale = 2 ** 58 + 1
+        assert_matches_oracle(gt_c, gt_i * scale, pr_c, pr_i * (scale + 2))
+    # (3, id 1) and (1, id 1 + (2**64 + 2) // 6) wrap to one id * 6 + class key
+    classes = np.array([3, 3, 1, 1, 0])
+    ids = np.array([1, 1, 1 + (2 ** 64 + 2) // 6, 1 + (2 ** 64 + 2) // 6, 0])
+    assert_matches_oracle(classes, ids, classes, ids)
 
 
 # -- accumulation ------------------------------------------------------------
@@ -242,13 +259,6 @@ def test_occurring_class_with_no_tp_scores_zero():
 
 
 # -- validation ---------------------------------------------------------------
-
-def test_overlapping_segments_rejected():
-    with pytest.raises(ValidationError):
-        match_instances([np.array([0, 1]), np.array([1, 2])], [])
-    with pytest.raises(ValidationError):
-        match_instances([], [np.array([3]), np.array([3])])
-
 
 def test_class_out_of_range_rejected():
     with pytest.raises(ValidationError):

@@ -15,7 +15,8 @@ from radfiner.errors import ConfigError, DataFormatError
 from radfiner.metrics import panoptic_quality
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
 from radfiner.pipeline import evaluate_split, pair_predictions
-from radfiner.scans import SemanticClass, load_predictions, load_scans
+from radfiner.scans import (SemanticClass, load_predictions, load_scans,
+                            select_moving)
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
 from radfiner.training import AugmentConfig, TrainConfig
@@ -225,6 +226,34 @@ def test_eval_refine_changes_labels_not_points(tmp_path):
         assert np.array_equal(s0.xy, s1.xy)
         assert np.array_equal(s0.rcs, s1.rcs)
         assert np.array_equal(s0.doppler, s1.doppler)
+
+
+def test_eval_refine_out_classifies_each_scan_once(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "6",
+                     "--seed", "4"]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    write_net_config(run / "net.cfg", toy_config(head_norm="bn"))
+    RadFinerNet(toy_config(head_norm="bn")).save(run / "ckpt")
+    selected = sum(select_moving(s, p)[2].size > 0 for s, p in zip(
+        load_scans(data / "scans.txt"), load_predictions(data / "surrogate.txt")))
+    assert selected > 0
+
+    calls = []
+    infer = RadFinerNet.infer
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return infer(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadFinerNet, "infer", counted)
+    out = tmp_path / "scored"
+    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+                     "--checkpoint", str(run / "ckpt"), "--refine",
+                     "--out", str(out)]) == 0
+    assert len(calls) == selected
+    assert len(load_predictions(out / "refined.txt")) == 6
 
 
 def test_usage_errors_exit_one(tmp_path):
