@@ -22,6 +22,12 @@ Padding policy is selectable: "mask" removes padded slots from the
 softmax (they contribute exactly zero), "zeropad" is the ablation where
 padded slots enter as zero-valued Q/K/V and keep flowing through the
 attention MLP, ending up with nonzero weight.
+
+The tape-free `RadiusAttention.infer` computes the per-point maps once
+per scan and then the per-(anchor, slot) rows in tiles of about
+`TILE_ROWS` rows, so each tile's temporaries stay in cache.  Rows do
+not interact across anchors, so the tile size sets the speed and
+memory of a call, not its math.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ from .layers import BatchNorm, fold_bn
 from .neighborhood import Neighborhood
 
 PAD_MODES = ("mask", "zeropad")
+
+# (anchor, slot) rows per tile of RadiusAttention.infer.  At width 256 a
+# tile's float32 temporaries are ~0.8 MB each and stay in a core's L2
+# cache across the elementwise passes; the whole-scan arrays (7.6 MB at
+# 310 points and 24 slots) did not.  It stands for a cache size, not a
+# model choice, and no caller needs another value, so it is a constant
+# and not a config key.
+TILE_ROWS = 768
 
 
 class PositionalEncoder:
@@ -122,42 +136,61 @@ class RadiusAttention:
         float64 and cast once to float32: mlp_bn1's scale into (Wq - Wk)
         (one gather, as Q and K share their indices) and into the
         positional W2 of the attention branch; mlp_bn2 into mlp_w1 plus
-        a bias; the positional norm into its W1 plus a bias.  Slot 0,
-        the anchor, is always valid, so each softmax row has a finite
-        maximum and a denominator of at least 1: both pad modes share
-        one softmax, masked mode setting the padded logits to -inf.
+        a bias; the positional norm into its W1 plus a bias.  The folds
+        and the per-point products x @ (Wq - Wk) and x @ Wv are made
+        once per call; everything per (anchor, slot) row, from the
+        positional MLP to the weighted slot sum, then runs over tiles of
+        `TILE_ROWS // n_slots` anchors, each writing its own rows of the
+        output.  Slot 0, the anchor, is always valid, so each softmax
+        row has a finite maximum and a denominator of at least 1: both
+        pad modes share one softmax, masked mode setting the padded
+        logits to -inf.
         """
         f32 = np.float32
         n, m = nb.indices.shape
         scale1, shift1 = self.mlp_bn1.eval_affine()
         pos_w1, pos_b1 = fold_bn(self.pos.w1.data, 0.0, self.pos.bn)
         mlp_w1, mlp_b1 = fold_bn(self.mlp_w1.data, 0.0, self.mlp_bn2)
+        pos_w1, pos_b1 = pos_w1.astype(f32), pos_b1.astype(f32)
+        pos_w2 = self.pos.w2.data.astype(f32)
+        pos_w2_attn = (self.pos.w2.data * scale1).astype(f32)
+        shift1 = shift1.astype(f32)
+        mlp_w1, mlp_b1 = mlp_w1.astype(f32), mlp_b1.astype(f32)
+        mlp_w2 = self.mlp_w2.data.astype(f32)
+        qk = x @ ((self.wq.data - self.wk.data) * scale1).astype(f32)
+        v = x @ self.wv.data.astype(f32)
 
-        hp = nb.rel_pos.reshape(n * m, 2).astype(f32) @ pos_w1.astype(f32)
-        hp += pos_b1.astype(f32)
-        np.maximum(hp, 0.0, out=hp)
-        a = (x @ ((self.wq.data - self.wk.data) * scale1).astype(f32))[nb.indices]
-        vg = (x @ self.wv.data.astype(f32))[nb.indices]
-        if self.pad_mode == "zeropad":
-            a *= nb.valid[..., None]
-            vg *= nb.valid[..., None]
-        a = a.reshape(n * m, -1)
-        a += hp @ (self.pos.w2.data * scale1).astype(f32)
-        a += shift1.astype(f32)
-        np.maximum(a, 0.0, out=a)
-        a = a @ mlp_w1.astype(f32)
-        a += mlp_b1.astype(f32)
-        np.maximum(a, 0.0, out=a)
-        a = (a @ self.mlp_w2.data.astype(f32)).reshape(n, m, -1)
+        out = np.empty((n, self.width), dtype=f32)
+        step = max(1, TILE_ROWS // m)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            idx, valid = nb.indices[rows], nb.valid[rows]
+            t = len(idx)
+            hp = nb.rel_pos[rows].reshape(t * m, 2).astype(f32) @ pos_w1
+            hp += pos_b1
+            np.maximum(hp, 0.0, out=hp)
+            a, vg = qk[idx], v[idx]
+            if self.pad_mode == "zeropad":
+                a *= valid[..., None]
+                vg *= valid[..., None]
+            a = a.reshape(t * m, -1)
+            a += hp @ pos_w2_attn
+            a += shift1
+            np.maximum(a, 0.0, out=a)
+            a = a @ mlp_w1
+            a += mlp_b1
+            np.maximum(a, 0.0, out=a)
+            a = (a @ mlp_w2).reshape(t, m, -1)
 
-        # channel-wise softmax over the slot axis
-        if self.pad_mode == "mask":
-            a[~nb.valid] = -np.inf
-        a -= a.max(axis=1, keepdims=True)
-        np.exp(a, out=a)
-        a /= a.sum(axis=1, keepdims=True)
-        vg += (hp @ self.pos.w2.data.astype(f32)).reshape(n, m, -1)
-        return np.einsum("nmd,nmd->nd", a, vg)
+            # channel-wise softmax over the slot axis
+            if self.pad_mode == "mask":
+                a[~valid] = -np.inf
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            a /= a.sum(axis=1, keepdims=True)
+            vg += (hp @ pos_w2).reshape(t, m, -1)
+            np.einsum("nmd,nmd->nd", a, vg, out=out[rows])
+        return out
 
     def params(self):
         return [self.wq, self.wk, self.wv, *self.pos.params(),

@@ -203,8 +203,10 @@ class RadFinerNet:
         """Eval-mode logits in single precision without the tape.
 
         Same architecture and running statistics as
-        forward(training=False); differs only in float precision and
-        operation fusion.  This is what evaluation and benchmarks run.
+        forward(training=False); differs only in float precision, in
+        each eval-mode norm folded into the linear map beside it, and in
+        the attention running over tiles of anchors.  This is what
+        evaluation and benchmarks run.
         """
         features, nb = self._conditioned(coords, features, nb)
         if len(features) == 0:

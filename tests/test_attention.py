@@ -5,6 +5,8 @@ with plain Python loops and its own batch-norm arithmetic, so the
 vectorized implementation and the reference share no code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,21 @@ def test_shape_mismatch_rejected():
         layer(Tensor(np.zeros((3, 6))), nb)
     with pytest.raises(ConfigError):
         RadiusAttention("a", 4, np.random.default_rng(0), pad_mode="drop")
+
+
+def test_infer_peak_memory_is_bounded_by_the_tile():
+    # criterion-8-sized block 2 (width 256, 24 slots, ~350 points): the
+    # whole-scan (anchor, slot) temporaries would be 8.2 MB each, so a
+    # peak under 8 MB shows that infer only holds one tile of them
+    rng = np.random.default_rng(0)
+    layer = RadiusAttention("attn", 256, rng)
+    nb = ball_query(rng.uniform([0, -15], [30, 15], (350, 2)), 5.0, 24)
+    x = rng.normal(size=(350, 256)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = layer.infer(x, nb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (350, 256)
+    assert peak < 8 * 2**20, f"infer peaked at {peak / 2**20:.1f} MB"

@@ -5,6 +5,7 @@ import pytest
 
 from radfiner import autodiff as ad
 from radfiner import checkpoint
+from radfiner.attention import TILE_ROWS
 from radfiner.errors import ConfigError, DataFormatError
 from radfiner.gradcheck import gradient_check
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
@@ -127,8 +128,10 @@ def test_infer_matches_tape_forward(cfg):
     # the fast single-precision path must agree with the tape forward in
     # eval mode up to float32 round-off, on perturbed running statistics
     # and then also on perturbed gamma/beta (at gamma=1, beta=0 a fold
-    # that drops either one would still agree)
+    # that drops either one would still agree); the sizes around one and
+    # two attention tiles catch a tile that drops or repeats a row
     net = RadFinerNet(cfg)
+    tile = max(1, TILE_ROWS // cfg.n_max)
     rng = np.random.default_rng(11)
     for bn in net.bn_layers():
         bn.running_mean = rng.normal(0.0, 0.05, bn.width)
@@ -138,7 +141,7 @@ def test_infer_matches_tape_forward(cfg):
             for bn in net.bn_layers():
                 bn.gamma.data = np.exp(rng.normal(0.0, 0.2, bn.width))
                 bn.beta.data = rng.normal(0.0, 0.2, bn.width)
-        for n in (1, 5, 33):
+        for n in (1, 5, 33, tile - 1, tile, tile + 1, 2 * tile + 1):
             coords, feats = _scan(seed=n, n=n)
             with ad.no_grad():
                 ref = net.forward(coords, feats, training=False).data
