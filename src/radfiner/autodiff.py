@@ -3,8 +3,12 @@
 A Tensor wraps an ndarray together with a gradient buffer and a closure
 that knows how to push its gradient into its parents.  Calling
 ``backward(root)`` on a scalar root topologically sorts the recorded
-graph and runs the closures in reverse.  Gradients accumulate
-additively; callers own zeroing between steps.
+graph and runs the closures in reverse.  A node adopts the first
+gradient it receives as its ``grad`` and adds each later one out of
+place, so gradients still accumulate additively and callers own zeroing
+between steps.  A gradient array may be shared, as the ``grad`` of a
+child or of two parents at once, so no gradient array is ever written
+in place.
 
 The op set is deliberately small: exactly what a point-transformer
 style network needs (matmul, broadcast arithmetic, relu/gelu,
@@ -63,9 +67,7 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
@@ -302,15 +304,27 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Advanced indexing a[indices] along axis 0; indices may be n-d."""
+    """Advanced indexing a[indices] along axis 0; indices may be n-d.
+
+    Indices must be non-negative, as ``ball_query``'s are (it pads with
+    row 0): the backward scatters the gradient with one ``np.bincount``
+    keyed by row * width + channel, which takes no negative key.
+    bincount adds into each target in index order, as ``np.add.at``
+    does, so the gradient is bitwise that of the ``np.add.at`` scatter.
+    """
     idx = np.asarray(indices)
+    if idx.size and idx.min() < 0:
+        raise ValueError("gather_rows indices must be non-negative")
     out = Tensor(a.data[idx])
 
     def backward(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a.accumulate_grad(acc)
+            width = math.prod(a.data.shape[1:])
+            keys = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            acc = np.bincount(keys, weights=g.reshape(-1),
+                              minlength=a.data.shape[0] * width)
+            # astype: bincount over no keys returns int64 even with weights
+            a.accumulate_grad(acc.reshape(a.data.shape).astype(np.float64, copy=False))
 
     return _record(out, (a,), backward)
 

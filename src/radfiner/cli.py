@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import configio
+from . import blas, configio
 from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import full_network_check
 from .metrics import format_report, mean_iou, panoptic_quality, write_metrics_csv
@@ -28,7 +28,7 @@ from .pipeline import bench_pipeline, predict_split, score_split
 from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
 from .synthdata import generate_scene, surrogate_backbone
-from .training import train
+from .training import BLAS_THREADS, train
 
 VERSION = "0.1.0"
 
@@ -174,7 +174,9 @@ def _cmd_train(args) -> int:
                      "net": configio.section(net_cfg),
                      "train": configio.section(tcfg),
                      "augment": configio.section(acfg),
-                     "refine_mode": args.refine_mode, "out": str(out_dir)},
+                     "refine_mode": args.refine_mode, "out": str(out_dir),
+                     "blas_threads": (BLAS_THREADS if blas.can_set_threads() else
+                                      "not pinned: no OpenBLAS set_num_threads symbol")},
                     {"total": time.perf_counter() - t0})
     last = history[-1]
     print(f"trained {tcfg.epochs} epochs; final total {last['total']:.4f}, "

@@ -64,7 +64,8 @@ def accumulate(stats: PanopticStats, gt_classes, gt_ids, pred_classes, pred_ids)
     if n and (min(gt_c.min(), pr_c.min()) < 0 or max(gt_c.max(), pr_c.max()) >= NUM_CLASSES):
         raise ValidationError("class code out of range")
 
-    np.add.at(stats.confusion, (gt_c, pr_c), 1)
+    stats.confusion += np.bincount(gt_c * NUM_CLASSES + pr_c,
+                                   minlength=NUM_CLASSES**2).reshape(NUM_CLASSES, NUM_CLASSES)
     (g_seg, g_size), (p_seg, p_size) = _segments(gt_c, gt_i), _segments(pr_c, pr_i)
     # the overlap table, sorted by gt segment and so by its first point
     both = (g_seg >= 0) & (p_seg >= 0)

@@ -16,6 +16,7 @@ execution order reproduces the same numbers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .errors import ConfigError, NumericsError, ValidationError
 from .losses import consistency_hard, total_loss
 from .metrics import mean_iou, panoptic_quality
@@ -34,6 +36,10 @@ from .pipeline import evaluate_split
 from .scans import MovingPrediction, RadarScan
 
 CLUTTER_SOURCES = ("sampled", "synthetic")
+
+# train() runs OpenBLAS on this many threads, so that the bytes it writes
+# do not depend on the core count
+BLAS_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
     validation PQ/mIoU of the refined pipeline on the val split when one
     is given, and the learning rate in force.  With out_dir set, each
     epoch appends to history.csv and writes a ckpt_epochNN checkpoint.
+    OpenBLAS runs on BLAS_THREADS threads for the duration.
     """
     if not train_scans:
         raise ValidationError("training needs at least one scan")
@@ -201,14 +208,15 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
         raise ValidationError("validation needs both scans and predictions")
     opt = AdamW(net.params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     history: list[dict] = []
-    hist_fh = None
+    hist = contextlib.nullcontext()
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        hist_fh = open(out_dir / "history.csv", "w")
-        hist_fh.write(",".join(HISTORY_COLUMNS) + "\n")
+        hist = open(out_dir / "history.csv", "w")
 
-    try:
+    with blas.threads(BLAS_THREADS), hist as hist_fh:
+        if hist_fh is not None:
+            hist_fh.write(",".join(HISTORY_COLUMNS) + "\n")
         for epoch in range(1, tcfg.epochs + 1):
             t0 = time.perf_counter()
             opt.lr = _epoch_lr(tcfg, epoch)
@@ -262,7 +270,4 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                 log(f"epoch {epoch:3d}  total {breakdown.total:.4f}  "
                     f"val_PQ {val_pq:.4f}  lr {opt.lr:g}  "
                     f"({time.perf_counter() - t0:.1f}s)")
-    finally:
-        if hist_fh is not None:
-            hist_fh.close()
     return net, history

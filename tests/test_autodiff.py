@@ -14,6 +14,7 @@ import pytest
 
 from radfiner import autodiff as ad
 from radfiner.losses import total_loss
+from radfiner.neighborhood import ball_query
 from radfiner.network import RadFinerNet, toy_config
 
 
@@ -163,6 +164,35 @@ def test_gather_rows_accumulates_duplicates():
     assert np.allclose(t.grad[3], 0.0)
 
 
+def test_gather_rows_backward_matches_add_at_bitwise():
+    r = _rng()
+    for trial in range(120):
+        rows = 1 if trial % 10 == 0 else int(r.integers(2, 40))
+        shape = (rows,) if trial % 3 == 0 else (rows, int(r.integers(1, 9)))
+        if trial % 4 == 1:
+            # ball_query rows: duplicates, and padded slots pointing at row 0
+            nb = ball_query(r.uniform(0, 6, size=(rows, 2)), 1.5, int(r.integers(1, 8)))
+            idx = nb.indices
+        else:
+            n_idx = 0 if trial % 10 == 2 else int(r.integers(1, 30))
+            idx = r.integers(0, rows, size=(n_idx, int(r.integers(1, 6))))
+        # magnitudes over 16 decades, so any change of summation order shows
+        w = r.normal(size=idx.shape + shape[1:]) * 10.0 ** r.uniform(-8, 8, idx.shape + shape[1:])
+        t = ad.Tensor(r.normal(size=shape), requires_grad=True)
+        ad.backward(ad.reduce_sum(ad.gather_rows(t, idx) * w))
+        ref = np.zeros(shape)
+        np.add.at(ref, idx, w)
+        assert t.grad.shape == shape and t.grad.dtype == np.float64
+        assert t.grad.tobytes() == ref.tobytes(), f"trial {trial}"
+
+
+def test_gather_rows_rejects_negative_indices():
+    t = ad.Tensor(np.zeros((4, 3)), requires_grad=True)
+    with pytest.raises(ValueError):
+        ad.gather_rows(t, np.array([[0, -1]]))
+    assert ad.gather_rows(t, np.zeros((0, 2), dtype=np.int64)).shape == (0, 2, 3)
+
+
 def test_reduce_sum_axes_and_keepdims():
     r = _rng()
     a = r.normal(size=(2, 3, 4))
@@ -220,6 +250,40 @@ def test_diamond_graph_accumulates_once_per_path():
     out = b * c  # d/dp (6 p^2) = 12 p
     ad.backward(out)
     assert np.allclose(p.grad, 12.0 * 1.5)
+
+
+def test_adopted_gradient_is_never_written_in_place():
+    # both leaves of a sum adopt one gradient array; a later backward that
+    # reaches one of them must leave the other's gradient as it was
+    r = _rng()
+    a = ad.Tensor(r.normal(size=(3, 4)), requires_grad=True)
+    b = ad.Tensor(r.normal(size=(3, 4)), requires_grad=True)
+    ad.backward(ad.reduce_sum(a + b))
+    b_grad = b.grad.copy()
+    ad.backward(ad.reduce_sum(a * 3.0))
+    assert np.array_equal(b.grad, b_grad)
+    assert np.array_equal(a.grad, np.full((3, 4), 4.0))
+
+
+def test_every_gradient_has_its_data_shape_and_dtype():
+    r = _rng()
+    net = RadFinerNet(toy_config())
+    coords = r.uniform(-5, 5, size=(11, 2))
+    feats = np.zeros((11, 5))
+    feats[:, 0:2] = coords
+    logits = net.forward(coords, feats, training=True)
+    loss, _ = total_loss(logits, r.integers(0, 6, 11), r.integers(0, 3, 11))
+    ad.backward(loss)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert node.grad.shape == node.data.shape, repr(node)
+        assert node.grad.dtype == np.float64, repr(node)
+        stack.extend(p for p in node._parents if p.requires_grad)
+    assert len(seen) > 100
 
 
 def test_graph_is_freed_by_reference_counting():

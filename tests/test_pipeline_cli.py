@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import radfiner.cli as cli
+from radfiner import blas
 from radfiner.configio import (augment_config, known_keys, load_config,
                                net_config, parse_config, scene_config,
                                surrogate_config, train_config,
@@ -19,7 +20,7 @@ from radfiner.scans import (SemanticClass, load_predictions, load_scans,
                             select_moving)
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
-from radfiner.training import AugmentConfig, TrainConfig
+from radfiner.training import BLAS_THREADS, AugmentConfig, TrainConfig
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 BUILDERS = ((net_config, NetworkConfig), (scene_config, SceneConfig),
@@ -188,6 +189,7 @@ def test_full_cli_cycle(tmp_path, capsys):
         ("", "net"), ("scene.", "scene"), ("surrogate.", "surrogate"),
         ("train.", "train"), ("augment.", "augment"))))
     assert recorded == known_keys()
+    assert resolved["blas_threads"] == BLAS_THREADS or not blas.can_set_threads()
 
     assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 0
     table = capsys.readouterr().out

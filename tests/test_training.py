@@ -1,8 +1,15 @@
 """Augmentation statistics, loss bookkeeping, and the training loop."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import radfiner
+from radfiner import blas, training
 from radfiner.errors import ConfigError, NumericsError
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
 from radfiner.scans import RadarScan, SemanticClass
@@ -202,3 +209,57 @@ def test_checkpoints_and_history_written(tmp_path):
     assert (tmp_path / "ckpt_epoch02").exists()
     header = (tmp_path / "history.csv").read_text().splitlines()[0]
     assert header == "epoch,ce,lovasz,consistency,total,val_PQ,val_mIoU,lr"
+
+
+def test_train_pins_blas_threads_and_restores_them(monkeypatch):
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("no OpenBLAS thread symbols in this numpy")
+    get, put = lib
+    seen = []
+    loss = training.total_loss
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    old = get()
+    put(2)
+    try:
+        before = get()
+        scans, net = _tiny_setup()
+        train(scans, net, TrainConfig(epochs=1, batch_size=2), AugmentConfig())
+        assert get() == before
+    finally:
+        put(old)
+    assert seen and set(seen) == {training.BLAS_THREADS}
+
+
+_TRAIN_BYTES = """
+import hashlib
+from radfiner.network import NetworkConfig, RadFinerNet
+from radfiner.synthdata import SceneConfig, generate_corpus
+from radfiner.training import AugmentConfig, TrainConfig, train
+net = RadFinerNet(NetworkConfig(d1=16, d2=32, seed=0))
+train(generate_corpus(SceneConfig(seed=5), 2), net,
+      TrainConfig(epochs=1, batch_size=2), AugmentConfig())
+digest = hashlib.sha256()
+for p in net.params():
+    digest.update(p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    # widths at which two OpenBLAS threads change the last bits of a product
+    src = str(Path(radfiner.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _TRAIN_BYTES], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
