@@ -25,12 +25,9 @@ attention MLP, ending up with nonzero weight.
 
 The tape-free `RadiusAttention.infer` computes the per-point maps once
 per scan and then the per-(anchor, slot) rows in tiles of about
-`TILE_ROWS` rows, so each tile's temporaries stay in cache.  In mask
-mode a padded slot adds exactly nothing, so anchors are taken in
-descending order of their last valid slot and each tile is cut to the
-slots its first anchor uses: trailing padding is never computed.  Rows
-do not interact across anchors, so neither the tile size nor the order
-changes the math.
+`TILE_ROWS` rows, so each tile's temporaries stay in cache.  Rows do
+not interact across anchors, so the tile size sets the speed and
+memory of a call, not its math.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ class RadiusAttention:
         self.mlp_bn1 = BatchNorm(f"{name}.mlp_bn1", width)
         self.mlp_w2 = Param(f"{name}.mlp_w2", glorot(width, width))
         self.mlp_bn2 = BatchNorm(f"{name}.mlp_bn2", width)
-        self._tiles = None  # see _tile_buffers
 
     def __call__(self, x: Tensor, nb: Neighborhood, training: bool = False,
                  return_weights: bool = False):
@@ -144,13 +140,11 @@ class RadiusAttention:
         and the per-point products x @ (Wq - Wk) and x @ Wv are made
         once per call; everything per (anchor, slot) row, from the
         positional MLP to the weighted slot sum, then runs over tiles of
-        `TILE_ROWS // k` anchors cut to their first k slots (in mask
-        mode, k is the tile's highest last-valid slot plus one; in
-        zeropad mode every slot counts), each writing its own rows of
-        the output.  Slot 0, the anchor, is always valid, so each
-        softmax row has a finite maximum and a denominator of at least
-        1: both pad modes share one softmax, masked mode setting the
-        padded logits to -inf.
+        `TILE_ROWS // n_slots` anchors, each writing its own rows of the
+        output.  Slot 0, the anchor, is always valid, so each softmax
+        row has a finite maximum and a denominator of at least 1: both
+        pad modes share one softmax, masked mode setting the padded
+        logits to -inf.
         """
         f32 = np.float32
         n, m = nb.indices.shape
@@ -160,67 +154,43 @@ class RadiusAttention:
         pos_w1, pos_b1 = pos_w1.astype(f32), pos_b1.astype(f32)
         pos_w2 = self.pos.w2.data.astype(f32)
         pos_w2_attn = (self.pos.w2.data * scale1).astype(f32)
+        shift1 = shift1.astype(f32)
         mlp_w1, mlp_b1 = mlp_w1.astype(f32), mlp_b1.astype(f32)
         mlp_w2 = self.mlp_w2.data.astype(f32)
-        # mlp_bn1's shift rides on the per-point map; a zeropad slot gets
-        # it alone, in place of the zero-valued Q - K
-        shift1 = shift1.astype(f32)
         qk = x @ ((self.wq.data - self.wk.data) * scale1).astype(f32)
-        qk += shift1
         v = x @ self.wv.data.astype(f32)
 
-        masked = self.pad_mode == "mask"
-        used = m - np.argmax(nb.valid[:, ::-1], axis=1) if masked else np.full(n, m)
-        order = np.argsort(-used, kind="stable")
         out = np.empty((n, self.width), dtype=f32)
-        work_a, work_b, work_v = self._tile_buffers(max(TILE_ROWS, m))
-        lo = 0
-        while lo < n:
-            k = int(used[order[lo]])
-            rows = order[lo:lo + max(1, TILE_ROWS // k)]
-            lo += len(rows)
-            t = len(rows)
-            idx, pad = nb.indices[rows, :k].reshape(-1), ~nb.valid[rows, :k].reshape(-1)
-            a, b, vg = work_a[:t * k], work_b[:t * k], work_v[:t * k]
-            hp = nb.rel_pos[rows, :k].reshape(t * k, 2).astype(f32) @ pos_w1
+        step = max(1, TILE_ROWS // m)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            idx, valid = nb.indices[rows], nb.valid[rows]
+            t = len(idx)
+            hp = nb.rel_pos[rows].reshape(t * m, 2).astype(f32) @ pos_w1
             hp += pos_b1
-            np.maximum(hp, f32(0), out=hp)
-            # ball-query indices are in range; "clip" skips the bounds
-            # check that would make take() gather into a temporary first
-            qk.take(idx, axis=0, out=a, mode="clip")
-            v.take(idx, axis=0, out=vg, mode="clip")
-            if not masked:
-                a[pad] = shift1
-                vg[pad] = 0.0
-            a += np.matmul(hp, pos_w2_attn, out=b)
-            np.maximum(a, f32(0), out=a)
-            np.matmul(a, mlp_w1, out=b)
-            b += mlp_b1
-            np.maximum(b, f32(0), out=b)
-            np.matmul(b, mlp_w2, out=a)
+            np.maximum(hp, 0.0, out=hp)
+            a, vg = qk[idx], v[idx]
+            if self.pad_mode == "zeropad":
+                a *= valid[..., None]
+                vg *= valid[..., None]
+            a = a.reshape(t * m, -1)
+            a += hp @ pos_w2_attn
+            a += shift1
+            np.maximum(a, 0.0, out=a)
+            a = a @ mlp_w1
+            a += mlp_b1
+            np.maximum(a, 0.0, out=a)
+            a = (a @ mlp_w2).reshape(t, m, -1)
 
-            # channel-wise softmax over the slot axis, normalised after
-            # the weighted slot sum
-            if masked:
-                a[pad] = -np.inf
-            a = a.reshape(t, k, -1)
+            # channel-wise softmax over the slot axis
+            if self.pad_mode == "mask":
+                a[~valid] = -np.inf
             a -= a.max(axis=1, keepdims=True)
             np.exp(a, out=a)
-            vg += np.matmul(hp, pos_w2, out=b)
-            out[rows] = np.einsum("nmd,nmd->nd", a, vg.reshape(t, k, -1)) / a.sum(axis=1)
+            a /= a.sum(axis=1, keepdims=True)
+            vg += (hp @ pos_w2).reshape(t, m, -1)
+            np.einsum("nmd,nmd->nd", a, vg, out=out[rows])
         return out
-
-    def _tile_buffers(self, rows: int) -> np.ndarray:
-        """Three (rows, width) float32 tile buffers, kept with the layer.
-
-        Tile temporaries allocated afresh are handed back to the OS at
-        the end of each call and page-fault in again on the next one
-        (~800 faults per block-2 call on criterion-8 scans), so `infer`
-        writes every tile into these instead.  Calls on one layer must
-        therefore not overlap."""
-        if self._tiles is None or self._tiles.shape[1] < rows:
-            self._tiles = np.empty((3, rows, self.width), dtype=np.float32)
-        return self._tiles
 
     def params(self):
         return [self.wq, self.wk, self.wv, *self.pos.params(),

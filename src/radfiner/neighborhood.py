@@ -58,68 +58,42 @@ def _check_inputs(points: np.ndarray, radius: float, n_max: int) -> np.ndarray:
 
 
 def _finish(points, indices, valid) -> Neighborhood:
-    rel = points.take(indices, axis=0)
-    np.subtract(points[:, None, :], rel, out=rel)
+    rel = points[:, None, :] - points.take(indices, axis=0)
     rel[~valid] = 0.0
     return Neighborhood(indices, valid, rel)
 
 
-def _d2(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dx * dx + dy * dy, computed in place in both arguments."""
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
+def _d2(diff: np.ndarray) -> np.ndarray:
+    return diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
 
 
 def ball_query(points, radius: float, n_max: int) -> Neighborhood:
     """KD-tree search; output contract identical to brute force."""
     points = _check_inputs(points, radius, n_max)
     n = len(points)
-    # the tree proposes pairs from a slightly wider ball; _d2 decides
-    pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
-    # both directions of every pair, grouped by anchor, neighbors ascending;
-    # intermediates are filled in place and dropped early, since fresh
-    # pages of a large temporary cost more to fault in than to compute
-    p = len(pairs)
-    key = np.empty(2 * p, dtype=np.int64)
-    np.multiply(pairs[:, 0], n, out=key[:p])
-    key[:p] += pairs[:, 1]
-    np.multiply(pairs[:, 1], n, out=key[p:])
-    key[p:] += pairs[:, 0]
-    del pairs
-    key.sort()
-    anchor, other = np.divmod(key, n)
-    del key
-    x, y = points[:, 0].copy(), points[:, 1].copy()
-    dx = x.take(anchor)
-    dx -= x.take(other)
-    dy = y.take(anchor)
-    dy -= y.take(other)
-    d2 = _d2(dx, dy)
-    del dx, dy
-    inside = d2 <= radius * radius
-    if not inside.all():
-        anchor, other, d2 = anchor[inside], other[inside], d2[inside]
-    del inside
-
-    # one padded row per anchor; the stable sort keeps index order on ties
-    counts = np.bincount(anchor, minlength=n)
-    starts = np.cumsum(counts) - counts
-    col = np.arange(len(anchor))
-    col -= starts[anchor]
-    dist = np.full((n, max(int(counts.max(initial=0)), n_max - 1)), np.inf)
-    dist[anchor, col] = d2
-    del anchor, col, d2
-    near = np.argsort(dist, axis=1, kind="stable")[:, :n_max - 1].copy()
-    del dist
-    found = near < counts[:, None]
-    near += starts[:, None]
     indices = np.zeros((n, n_max), dtype=np.int64)
     valid = np.zeros((n, n_max), dtype=bool)
     indices[:, 0] = np.arange(n)
     valid[:, 0] = True
-    indices[:, 1:][found] = other[near[found]]
+
+    # the tree proposes pairs from a slightly wider ball; _d2 decides
+    pairs = cKDTree(points).query_pairs(radius * (1.0 + 1e-9), output_type="ndarray")
+    # both directions of every pair, grouped by anchor, neighbors ascending
+    key = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                  pairs[:, 1] * n + pairs[:, 0]]))
+    anchor, other = np.divmod(key, n)
+    d2 = _d2(points.take(anchor, axis=0) - points.take(other, axis=0))
+    inside = d2 <= radius * radius
+    anchor, other, d2 = anchor[inside], other[inside], d2[inside]
+
+    # one padded row per anchor; the stable sort keeps index order on ties
+    counts = np.bincount(anchor, minlength=n)
+    starts = np.cumsum(counts) - counts
+    dist = np.full((n, max(int(counts.max(initial=0)), n_max - 1)), np.inf)
+    dist[anchor, np.arange(len(anchor)) - starts[anchor]] = d2
+    near = np.argsort(dist, axis=1, kind="stable")[:, :n_max - 1]
+    found = near < counts[:, None]
+    indices[:, 1:][found] = other[(starts[:, None] + near)[found]]
     valid[:, 1:] = found
     return _finish(points, indices, valid)
 
@@ -135,8 +109,7 @@ def ball_query_bruteforce(points, radius: float, n_max: int) -> Neighborhood:
     r2 = radius * radius
     keep = n_max - 1
     for i in range(n):
-        diff = points[i] - points
-        d2 = _d2(diff[:, 0], diff[:, 1])
+        d2 = _d2(points[i] - points)
         within = d2 <= r2
         within[i] = False
         others = np.flatnonzero(within)

@@ -227,28 +227,3 @@ def test_infer_peak_memory_is_bounded_by_the_tile():
         tracemalloc.stop()
     assert out.shape == (350, 256)
     assert peak < 8 * 2**20, f"infer peaked at {peak / 2**20:.1f} MB"
-
-
-@pytest.mark.parametrize("pad_mode", ["mask", "zeropad"])
-def test_infer_matches_tape_on_uneven_neighborhoods(pad_mode):
-    # a tight cluster beside scattered points fills rows to every level,
-    # so the degree-ordered tiles are cut to different slot counts; the
-    # wider second call regrows the tile buffers the layer keeps, and the
-    # third reuses them
-    rng = np.random.default_rng(31)
-    layer = RadiusAttention("attn", 16, np.random.default_rng(32), pad_mode)
-    for bn in layer.bn_layers():
-        bn.running_mean = rng.normal(0.0, 0.1, bn.width)
-        bn.running_var = np.exp(rng.normal(0.0, 0.2, bn.width))
-        bn.beta.data = rng.normal(0.0, 0.2, bn.width)
-    for n, n_max in ((120, 12), (60, 40), (120, 12)):
-        pts = np.vstack([rng.normal(0.0, 0.6, (n // 2, 2)),
-                         rng.uniform(-12.0, 12.0, (n - n // 2, 2))])
-        nb = ball_query(pts, 1.5, n_max)
-        assert len(np.unique(nb.valid.sum(axis=1))) > 3
-        x = rng.normal(size=(n, 16))
-        with ad.no_grad():
-            ref = layer(Tensor(x), nb, training=False).data
-        out = layer.infer(x.astype(np.float32), nb)
-        assert out.dtype == np.float32
-        assert np.allclose(out, ref, rtol=1e-3, atol=1e-4)
