@@ -12,7 +12,8 @@ in place.
 
 The op set is deliberately small: exactly what a point-transformer
 style network needs (matmul, broadcast arithmetic, relu/gelu,
-masked softmax, integer gathers, sum reductions).
+masked softmax, masked training-mode batch norm, integer gathers, sum
+reductions).
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _lift(other))
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -186,18 +184,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), backward)
-
-
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    """a ** c for a constant (non-Tensor) exponent."""
-    c = float(exponent)
-    out = Tensor(a.data**c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c * a.data ** (c - 1.0))
-
-    return _record(out, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -297,6 +283,66 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
             a.accumulate_grad(s * (g - inner))
 
     return _record(Tensor(s), (a,), backward)
+
+
+# --------------------------------------------------------------------------
+# normalization
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray | None,
+               zero_invalid: bool, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch norm over every leading axis, as one node.
+
+    Returns ``(out, mean, var)``: the normalized tensor and the biased
+    batch mean and variance, kept-dims shaped (1, ..., 1, D).  `mask`
+    (shape x.shape[:-1], at least one true row) restricts the statistics
+    to the rows it marks; with ``zero_invalid`` the output of the other
+    rows is 0 and they receive no gradient, otherwise the batch affine
+    acts on them too.  The backward is the standard analytic one
+    (Ioffe & Szegedy, arXiv 1502.03167) over the valid rows, with
+    s = mask under ``zero_invalid`` and 1 otherwise:
+    dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count, where
+    dxhat = g * s * gamma, dmean = -inv * sum(dxhat) and
+    dvar = -inv**3 / 2 * sum(dxhat * u).
+    """
+    xd = x.data
+    axes = tuple(range(xd.ndim - 1))
+    if mask is None:
+        m = None
+        count = math.prod(xd.shape[:-1])
+        mean = xd.sum(axis=axes, keepdims=True) * (1.0 / count)
+        u = cu = xd - mean
+    else:
+        m = mask[..., None].astype(np.float64)
+        count = int(mask.sum())
+        mean = (xd * m).sum(axis=axes, keepdims=True) * (1.0 / count)
+        u = xd - mean
+        cu = u * m
+    var = (cu * cu).sum(axis=axes, keepdims=True) * (1.0 / count)
+    inv = (var + eps) ** -0.5
+    xhat = (cu if zero_invalid else u) * inv
+    g_data = gamma.data
+    out = xhat * g_data + beta.data
+    s = m if zero_invalid else None
+    if s is not None:
+        out = out * s
+
+    def backward(g):
+        gs = g if s is None else g * s
+        if gamma.requires_grad:
+            gamma.accumulate_grad((gs * xhat).sum(axis=axes))
+        if beta.requires_grad:
+            beta.accumulate_grad(gs.sum(axis=axes))
+        if x.requires_grad:
+            dxhat = gs * g_data
+            dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
+            dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
+            shift = dmean + 2.0 * dvar * u
+            if m is not None:
+                shift = shift * m
+            x.accumulate_grad(inv * dxhat + shift * (1.0 / count))
+
+    return _record(Tensor(out), (x, gamma, beta), backward), mean, var
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ BatchNorm here normalizes over every leading axis (all rows), with the
 last axis as channels.  Neighborhood tensors carry padding, so the
 statistics can be restricted to valid rows via a boolean mask; padded
 rows are always excluded from the statistics and, by default, zeroed in
-the output so downstream masked reductions stay exact.
+the output so downstream masked reductions stay exact.  In training
+mode a BatchNorm call is one tape node with the analytic backward;
+eval mode composes tape primitives from the running statistics.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ class BatchNorm:
     """Per-channel normalization with running statistics.
 
     Training mode uses biased batch statistics over the valid rows and
-    folds them into the running estimates with the given momentum; eval
-    mode applies the running affine only.  `track_stats` can be switched
-    off to keep repeated forwards (e.g. finite differencing) from
-    drifting the running estimates.
+    folds them into the running estimates with the given momentum; it
+    records one tape node with the analytic backward
+    (`autodiff.batch_norm`).  Eval mode applies the running affine only.
+    `track_stats` can be switched off to keep repeated forwards (e.g.
+    finite differencing) from drifting the running estimates.
     """
 
     def __init__(self, name: str, width: int, eps: float = 1e-8, momentum: float = 0.1):
@@ -77,44 +80,28 @@ class BatchNorm:
         if x.data.shape[-1] != self.width:
             raise ValueError(
                 f"{self.name}: expected {self.width} channels, got {x.data.shape[-1]}")
+        mask = None
         if valid is not None:
             mask = np.asarray(valid, dtype=bool)
             if mask.shape != x.data.shape[:-1]:
                 raise ValueError(f"{self.name}: mask shape {mask.shape} "
                                  f"does not match rows {x.data.shape[:-1]}")
-            mask_col = mask[..., None].astype(np.float64)
-            count = int(mask.sum())
-        else:
-            mask = None
-            mask_col = None
-            count = int(np.prod(x.data.shape[:-1]))
-        if count == 0:
+        if x.data.size == 0 or (mask is not None and not mask.any()):
             raise ValueError(f"{self.name}: no valid rows to normalize")
 
-        axes = tuple(range(x.data.ndim - 1))
         if training:
-            xm = x * mask_col if mask_col is not None else x
-            mean = ad.reduce_sum(xm, axis=axes, keepdims=True) * (1.0 / count)
-            centered = x - mean
-            if mask_col is not None:
-                centered = centered * mask_col
-            var = ad.reduce_sum(centered * centered, axis=axes, keepdims=True) * (1.0 / count)
-            inv = (var + self.eps) ** -0.5
-            if mask_col is not None and not zero_invalid:
-                # let padded rows ride the batch affine instead of dying at 0
-                centered = (x - mean)
-            xhat = centered * inv
+            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, mask,
+                                           zero_invalid, self.eps)
             if self.track_stats:
                 m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mean.data.reshape(-1)
-                self.running_var = (1.0 - m) * self.running_var + m * var.data.reshape(-1)
-        else:
-            inv_np = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_np
+                self.running_mean = (1.0 - m) * self.running_mean + m * mean.reshape(-1)
+                self.running_var = (1.0 - m) * self.running_var + m * var.reshape(-1)
+            return out
 
-        out = xhat * self.gamma + self.beta
-        if mask_col is not None and zero_invalid:
-            out = out * mask_col
+        inv_np = 1.0 / np.sqrt(self.running_var + self.eps)
+        out = (x - self.running_mean) * inv_np * self.gamma + self.beta
+        if mask is not None and zero_invalid:
+            out = out * mask[..., None].astype(np.float64)
         return out
 
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:

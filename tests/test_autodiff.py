@@ -58,13 +58,6 @@ def test_add_sub_mul_div_broadcast():
     _check(lambda x, y: ad.reduce_sum(x * y), a, b)
 
 
-def test_pow_const():
-    r = _rng()
-    a = np.abs(r.normal(size=(5,))) + 0.5
-    _check(lambda x: ad.reduce_sum(x**-0.5), a)
-    _check(lambda x: ad.reduce_sum(x**3), a)
-
-
 def test_matmul_2d_and_batched():
     r = _rng()
     a = r.normal(size=(4, 3))

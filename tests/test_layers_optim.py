@@ -89,17 +89,118 @@ def test_batchnorm_rejects_bad_shapes_and_empty_mask():
 
 def test_batchnorm_gradients_flow():
     r = np.random.default_rng(5)
-    x = r.normal(size=(6, 3))
-    w = r.normal(size=(6, 3))
+    for masked, zero_invalid in [(False, True), (True, True), (True, False)]:
+        x = r.normal(size=(4, 3, 3)) if masked else r.normal(size=(6, 3))
+        w = r.normal(size=x.shape)
+        valid = None
+        if masked:
+            valid = r.random(x.shape[:-1]) > 0.35
+            valid[0, 0] = valid[1, 2] = False
+            valid[0, 1] = True
+        bn = BatchNorm("bn", 3)
+        bn.track_stats = False
+        bn.gamma.data[:] = r.normal(size=3)
+        bn.beta.data[:] = r.normal(size=3)
+        xt = Param("x", x)
+
+        def loss_fn():
+            out = bn(xt, valid=valid, training=True, zero_invalid=zero_invalid)
+            return ad.reduce_sum(out * w)
+
+        report = gradient_check(loss_fn, [xt, bn.gamma, bn.beta], h=1e-5)
+        assert report.max_rel_error < 1e-6, (masked, zero_invalid)
+
+
+def test_batchnorm_training_call_is_one_tape_node():
+    r = np.random.default_rng(6)
+    x = Param("x", r.normal(size=(5, 4, 3)))
     bn = BatchNorm("bn", 3)
-    bn.track_stats = False
-    xt = Param("x", x)
+    out = bn(x, valid=r.random((5, 4)) > 0.3, training=True)
+    assert out.requires_grad and out._backward is not None
+    assert len(out._parents) == 3
+    assert all(a is b for a, b in zip(out._parents, (x, bn.gamma, bn.beta)))
+    assert all(p._backward is None for p in out._parents)
 
-    def loss_fn():
-        return ad.reduce_sum(bn(xt, training=True) * w)
 
-    report = gradient_check(loss_fn, [xt, bn.gamma, bn.beta], h=1e-5)
-    assert report.max_rel_error < 1e-6
+def _pow_node(a, c):
+    """Tape node for a ** c, c constant: the op the reference below used."""
+    def backward(g):
+        a.accumulate_grad(g * c * a.data ** (c - 1.0))
+
+    return ad._record(Tensor(a.data**c), (a,), backward)
+
+
+def _primitive_bn(bn, x, valid, zero_invalid):
+    """Training-mode BatchNorm composed from tape primitives, as it was
+    before it became one node: the oracle for forward bytes and gradients."""
+    if valid is not None:
+        mask_col = valid[..., None].astype(np.float64)
+        count = int(valid.sum())
+    else:
+        mask_col = None
+        count = int(np.prod(x.data.shape[:-1]))
+    axes = tuple(range(x.data.ndim - 1))
+    xm = x * mask_col if mask_col is not None else x
+    mean = ad.reduce_sum(xm, axis=axes, keepdims=True) * (1.0 / count)
+    centered = x - mean
+    if mask_col is not None:
+        centered = centered * mask_col
+    var = ad.reduce_sum(centered * centered, axis=axes, keepdims=True) * (1.0 / count)
+    inv = _pow_node(var + bn.eps, -0.5)
+    if mask_col is not None and not zero_invalid:
+        centered = x - mean
+    out = centered * inv * bn.gamma + bn.beta
+    if mask_col is not None and zero_invalid:
+        out = out * mask_col
+    m = bn.momentum
+    running_mean = (1.0 - m) * bn.running_mean + m * mean.data.reshape(-1)
+    running_var = (1.0 - m) * bn.running_var + m * var.data.reshape(-1)
+    return out, running_mean, running_var, inv.data
+
+
+def _rel_err(got, want, scale=0.0):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), scale, 1e-300)
+
+
+@pytest.mark.parametrize("mode", ["unmasked", "zero_invalid", "keep_invalid"])
+def test_batchnorm_node_matches_primitive_graph(mode):
+    r = np.random.default_rng(11)
+    cases = [(int(r.integers(1, 8)), int(r.integers(1, 7)), int(r.integers(1, 6)))
+             for _ in range(30)]
+    for k, shape in enumerate(cases):
+        x = r.normal(loc=r.normal(scale=3.0), scale=r.uniform(0.1, 5.0), size=shape)
+        valid = None
+        if mode != "unmasked":
+            valid = r.random(shape[:2]) > r.uniform(0.1, 0.9)
+            if k % 5 == 0:
+                valid[:] = False  # exactly one valid row
+            valid.flat[r.integers(valid.size)] = True
+            x[~valid] = r.normal(scale=1e6, size=(int((~valid).sum()), shape[2]))
+        w = r.normal(size=shape)
+        fused, prim = BatchNorm("a", shape[2]), BatchNorm("b", shape[2])
+        for bn in (fused, prim):
+            bn.gamma.data[:] = np.linspace(0.5, 2.0, shape[2])
+            bn.beta.data[:] = np.linspace(-1.0, 1.0, shape[2])
+            bn.running_mean[:] = 0.25
+        xf, xp = Param("xf", x), Param("xp", x)
+        zero_invalid = mode != "keep_invalid"
+
+        out_f = fused(xf, valid=valid, training=True, zero_invalid=zero_invalid)
+        out_p, mean_p, var_p, inv = _primitive_bn(prim, xp, valid, zero_invalid)
+        assert out_f.data.tobytes() == out_p.data.tobytes()
+        assert fused.running_mean.tobytes() == mean_p.tobytes()
+        assert fused.running_var.tobytes() == var_p.tobytes()
+
+        ad.backward(ad.reduce_sum(out_f * w))
+        ad.backward(ad.reduce_sum(out_p * w))
+        # x.grad sums terms of size inv * |w * gamma| that cancel to O(eps)
+        # where a channel has two valid rows; rounding is relative to them
+        terms = np.max(inv * np.abs(w * prim.gamma.data))
+        assert _rel_err(xf.grad, xp.grad, terms) <= 1e-12, (k, shape)
+        assert _rel_err(fused.gamma.grad, prim.gamma.grad) <= 1e-12, (k, shape)
+        assert _rel_err(fused.beta.grad, prim.beta.grad) <= 1e-12, (k, shape)
+        if mode == "zero_invalid":
+            assert np.all(xf.grad[~valid] == 0.0)
 
 
 def test_adamw_single_step_matches_hand_formula():
