@@ -10,10 +10,11 @@ import argparse
 
 import numpy as np
 
-from radfiner.metrics import CLASS_NAMES, panoptic_quality, scan_stats
+from radfiner.metrics import panoptic_quality, scan_stats
 from radfiner.network import NetworkConfig, RadFinerNet
 from radfiner.pipeline import (classify_selected, majority_true_panoptic,
                                predict_panoptic)
+from radfiner.scans import CLASS_NAMES
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
 from radfiner.training import AugmentConfig, TrainConfig, train

@@ -8,8 +8,7 @@ import argparse
 
 import numpy as np
 
-from radfiner.metrics import CLASS_NAMES
-from radfiner.scans import SemanticClass
+from radfiner.scans import CLASS_NAMES
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_scene,
                                 radial_doppler, surrogate_backbone)
 
@@ -36,15 +35,15 @@ def main() -> None:
     for iid in range(1, int(scan.instance.max()) + 1):
         sel = scan.instance == iid
         pts, dop = scan.xy[sel], scan.doppler[sel]
-        code = SemanticClass(int(scan.sem[sel][0]))
+        name = CLASS_NAMES[int(scan.sem[sel][0])]
         if np.sum(sel) >= 2:
             los = pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-9)
             v, *_ = np.linalg.lstsq(los, dop, rcond=None)
             resid = float(np.sqrt(np.mean((radial_doppler(pts, v) - dop) ** 2)))
-            print(f"  instance {iid:2d} ({code.name.lower():>16}): "
+            print(f"  instance {iid:2d} ({name:>16}): "
                   f"|v|={np.linalg.norm(v):5.2f} m/s, residual {resid:.3f} m/s")
         else:
-            print(f"  instance {iid:2d} ({code.name.lower():>16}): "
+            print(f"  instance {iid:2d} ({name:>16}): "
                   f"single point, Doppler {dop[0]:+.2f} m/s")
 
     static_dop = scan.doppler[scan.sem == 0]

@@ -37,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Param, Tensor
 from .errors import ConfigError
-from .layers import BatchNorm, fold_bn
+from .layers import BatchNorm, Module, fold_bn, glorot
 from .neighborhood import Neighborhood
 
 PAD_MODES = ("mask", "zeropad")
@@ -51,17 +51,13 @@ PAD_MODES = ("mask", "zeropad")
 TILE_ROWS = 768
 
 
-class PositionalEncoder:
+class PositionalEncoder(Module):
     """rel_pos (N, M, 2) -> (N, M, D): relu(bn(p @ W1)) @ W2, no biases."""
 
     def __init__(self, name: str, d_out: int, rng: np.random.Generator):
-        def glorot(d_in, d_o):
-            limit = np.sqrt(6.0 / (d_in + d_o))
-            return rng.uniform(-limit, limit, size=(d_in, d_o))
-
-        self.w1 = Param(f"{name}.w1", glorot(2, 2))
+        self.w1 = Param(f"{name}.w1", glorot(rng, 2, 2))
         self.bn = BatchNorm(f"{name}.bn", 2)
-        self.w2 = Param(f"{name}.w2", glorot(2, d_out))
+        self.w2 = Param(f"{name}.w2", glorot(rng, 2, d_out))
 
     def __call__(self, rel_pos: np.ndarray, valid: np.ndarray,
                  training: bool, zero_invalid: bool = True) -> Tensor:
@@ -69,32 +65,21 @@ class PositionalEncoder:
         h = self.bn(h, valid=valid, training=training, zero_invalid=zero_invalid)
         return ad.matmul(ad.relu(h), self.w2)
 
-    def params(self):
-        return [self.w1, *self.bn.params(), self.w2]
 
-    def bn_layers(self):
-        return [self.bn]
-
-
-class RadiusAttention:
+class RadiusAttention(Module):
     def __init__(self, name: str, width: int, rng: np.random.Generator,
                  pad_mode: str = "mask"):
         if pad_mode not in PAD_MODES:
             raise ConfigError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
         self.width = width
         self.pad_mode = pad_mode
-
-        def glorot(d_in, d_out):
-            limit = np.sqrt(6.0 / (d_in + d_out))
-            return rng.uniform(-limit, limit, size=(d_in, d_out))
-
-        self.wq = Param(f"{name}.wq", glorot(width, width))
-        self.wk = Param(f"{name}.wk", glorot(width, width))
-        self.wv = Param(f"{name}.wv", glorot(width, width))
+        self.wq = Param(f"{name}.wq", glorot(rng, width, width))
+        self.wk = Param(f"{name}.wk", glorot(rng, width, width))
+        self.wv = Param(f"{name}.wv", glorot(rng, width, width))
         self.pos = PositionalEncoder(f"{name}.pos", width, rng)
-        self.mlp_w1 = Param(f"{name}.mlp_w1", glorot(width, width))
+        self.mlp_w1 = Param(f"{name}.mlp_w1", glorot(rng, width, width))
         self.mlp_bn1 = BatchNorm(f"{name}.mlp_bn1", width)
-        self.mlp_w2 = Param(f"{name}.mlp_w2", glorot(width, width))
+        self.mlp_w2 = Param(f"{name}.mlp_w2", glorot(rng, width, width))
         self.mlp_bn2 = BatchNorm(f"{name}.mlp_bn2", width)
 
     def __call__(self, x: Tensor, nb: Neighborhood, training: bool = False,
@@ -191,11 +176,3 @@ class RadiusAttention:
             vg += (hp @ pos_w2).reshape(t, m, -1)
             np.einsum("nmd,nmd->nd", a, vg, out=out[rows])
         return out
-
-    def params(self):
-        return [self.wq, self.wk, self.wv, *self.pos.params(),
-                self.mlp_w1, *self.mlp_bn1.params(),
-                self.mlp_w2, *self.mlp_bn2.params()]
-
-    def bn_layers(self):
-        return [*self.pos.bn_layers(), self.mlp_bn1, self.mlp_bn2]

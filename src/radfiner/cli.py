@@ -20,15 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import blas, configio
+from .attention import PAD_MODES
 from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import full_network_check
 from .metrics import format_report, mean_iou, panoptic_quality, write_metrics_csv
-from .network import RadFinerNet, toy_config
+from .network import HEAD_NORMS, RadFinerNet, toy_config
 from .pipeline import bench_pipeline, predict_split, score_split
 from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
-from .synthdata import generate_scene, surrogate_backbone
-from .training import BLAS_THREADS, train
+from .refinement import REFINE_MODES
+from .synthdata import generate_corpus, generate_scene, surrogate_corpus
+from .training import BLAS_THREADS, CLUTTER_SOURCES, train
 
 VERSION = "0.1.0"
 
@@ -112,20 +114,17 @@ def _cmd_generate(args) -> int:
     mapping = configio.load_config(args.config) if args.config else {}
     scene_cfg = configio.scene_config(mapping, seed=args.seed)
     surr_cfg = configio.surrogate_config(mapping, seed=args.surrogate_seed)
-    if args.count < 0:
-        raise ConfigError(f"count must be >= 0, got {args.count}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.workers > 1 and args.count > 1:
         from multiprocessing import get_context
         with get_context("fork").Pool(args.workers) as pool:
             scans = pool.map(functools.partial(generate_scene, scene_cfg),
                              range(args.count))
     else:
-        scans = [generate_scene(scene_cfg, i) for i in range(args.count)]
-    preds = [surrogate_backbone(s, surr_cfg, i) for i, s in enumerate(scans)]
+        scans = generate_corpus(scene_cfg, args.count)
+    preds = surrogate_corpus(scans, surr_cfg)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_scans(scans, out_dir / SCANS_FILE)
     save_predictions(preds, out_dir / PREDS_FILE)
     if args.emit_svg and scans:
@@ -323,13 +322,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--d2", type=int, default=None)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--attn-pad", choices=("mask", "zeropad"), default=None)
-    p.add_argument("--head-norm", choices=("bn", "none"), default=None)
+    p.add_argument("--attn-pad", choices=PAD_MODES, default=None)
+    p.add_argument("--head-norm", choices=HEAD_NORMS, default=None)
     p.add_argument("--net-seed", type=int, default=None)
     p.add_argument("--p-instance", type=float, default=None)
     p.add_argument("--p-scan", type=float, default=None)
-    p.add_argument("--clutter-source", choices=("sampled", "synthetic"), default=None)
-    p.add_argument("--refine-mode", choices=("split", "majority"), default="split")
+    p.add_argument("--clutter-source", choices=CLUTTER_SOURCES, default=None)
+    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_train)
 
@@ -340,7 +339,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--net-config", default=None)
     p.add_argument("--refine", action="store_true")
-    p.add_argument("--refine-mode", choices=("split", "majority"), default="split")
+    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
@@ -363,7 +362,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--net-config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--refine-mode", choices=("split", "majority"), default="split")
+    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
     return parser

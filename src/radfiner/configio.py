@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataFormatError
 from .network import NetworkConfig
+from .scans import CLASS_NAMES
 from .synthdata import SceneConfig, SurrogateConfig, default_profiles
 from .training import AugmentConfig, TrainConfig
 
@@ -42,7 +43,7 @@ def section(cfg) -> dict:
     a scene's class profiles nest under the lower-case class name."""
     out = {key: getattr(cfg, name) for key, name in _keys(cfg).items()}
     if isinstance(cfg, SceneConfig):
-        out.update((code.name.lower(), section(p)) for code, p in cfg.profiles.items())
+        out.update((CLASS_NAMES[code], section(p)) for code, p in cfg.profiles.items())
     return out
 
 
@@ -131,7 +132,7 @@ def write_net_config(path, cfg: NetworkConfig) -> None:
 
 
 def scene_config(mapping: dict[str, str], seed=None) -> SceneConfig:
-    profiles = {code: _build(profile, mapping, f"scene.{code.name.lower()}.")
+    profiles = {code: _build(profile, mapping, f"scene.{CLASS_NAMES[code]}.")
                 for code, profile in default_profiles().items()}
     return _build(SceneConfig(), mapping, "scene.", profiles=profiles,
                   seed=None if seed is None else int(seed))

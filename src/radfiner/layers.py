@@ -1,5 +1,12 @@
 """Linear and batch-norm layers built on the autodiff tape.
 
+Every layer derives from `Module`, whose `params()` and `bn_layers()`
+walk the instance's own attributes depth-first in the order they were
+set: a `Param` is collected, a sub-`Module` recursed into and a
+`BatchNorm` listed as a norm; any other value, `None` included, is
+skipped.  Only direct attributes are walked, so a layer kept in a list
+or dict would not be found.
+
 BatchNorm here normalizes over every leading axis (all rows), with the
 last axis as channels.  Neighborhood tensors carry padding, so the
 statistics can be restricted to valid rows via a boolean mask; padded
@@ -17,14 +24,36 @@ from . import autodiff as ad
 from .autodiff import Param, Tensor
 
 
-class Linear:
+def glorot(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+    """(d_in, d_out) Glorot-uniform weights."""
+    limit = np.sqrt(6.0 / (d_in + d_out))
+    return rng.uniform(-limit, limit, size=(d_in, d_out))
+
+
+class Module:
+    """Base of every layer: parameters and norms found from attributes."""
+
+    def _walk(self):
+        for value in vars(self).values():
+            if isinstance(value, Param):
+                yield value
+            elif isinstance(value, Module):
+                yield value
+                yield from value._walk()
+
+    def params(self) -> list[Param]:
+        return [v for v in self._walk() if isinstance(v, Param)]
+
+    def bn_layers(self) -> list[BatchNorm]:
+        return [v for v in self._walk() if isinstance(v, BatchNorm)]
+
+
+class Linear(Module):
     """y = x @ W (+ b).  Glorot-uniform weights, zero bias."""
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True):
-        limit = np.sqrt(6.0 / (d_in + d_out))
-        self.name = name
-        self.weight = Param(f"{name}.weight", rng.uniform(-limit, limit, size=(d_in, d_out)))
+        self.weight = Param(f"{name}.weight", glorot(rng, d_in, d_out))
         self.bias = Param(f"{name}.bias", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -40,14 +69,8 @@ class Linear:
             weight, bias = fold_bn(weight, bias, bn)
         return x @ weight.astype(np.float32) + np.asarray(bias, dtype=np.float32)
 
-    def params(self) -> list[Param]:
-        ps = [self.weight]
-        if self.bias is not None:
-            ps.append(self.bias)
-        return ps
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-channel normalization with running statistics.
 
     Training mode uses biased batch statistics over the valid rows and
@@ -109,19 +132,6 @@ class BatchNorm:
         scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
         shift = self.beta.data - self.running_mean * scale
         return scale, shift
-
-    def params(self) -> list[Param]:
-        return [self.gamma, self.beta]
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.running_mean": self.running_mean,
-                f"{self.name}.running_var": self.running_var}
-
-    def load_state(self, entries: dict[str, np.ndarray]) -> None:
-        self.running_mean = np.array(entries[f"{self.name}.running_mean"], dtype=np.float64)
-        self.running_var = np.array(entries[f"{self.name}.running_var"], dtype=np.float64)
-        if self.running_mean.shape != (self.width,) or self.running_var.shape != (self.width,):
-            raise ValueError(f"{self.name}: running stats have wrong shape")
 
 
 def fold_bn(weight: np.ndarray, bias, bn: BatchNorm) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .scans import NUM_CLASSES, SemanticClass
-
-CLASS_NAMES = tuple(c.name.lower() for c in SemanticClass)
+from .scans import CLASS_NAMES, NUM_CLASSES, SemanticClass
 
 
 class PanopticStats:

@@ -24,11 +24,13 @@ from scipy.special import erf
 from . import autodiff as ad
 from . import checkpoint
 from .attention import PAD_MODES, RadiusAttention
-from .autodiff import Param, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError
-from .layers import BatchNorm, Linear
+from .layers import BatchNorm, Linear, Module
 from .neighborhood import Neighborhood, ball_query
 from .scans import NUM_CLASSES
+
+HEAD_NORMS = ("bn", "none")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class NetworkConfig:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.attn_pad not in PAD_MODES:
             raise ConfigError(f"attn_pad must be one of {PAD_MODES}")
-        if self.head_norm not in ("bn", "none"):
-            raise ConfigError("head_norm must be 'bn' or 'none'")
+        if self.head_norm not in HEAD_NORMS:
+            raise ConfigError(f"head_norm must be one of {HEAD_NORMS}")
         for name in ("head1", "head2", "head3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -74,7 +76,7 @@ def _gelu32(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class FeedForward:
+class FeedForward(Module):
     """linear -> GELU -> linear, biases on."""
 
     def __init__(self, name: str, d_in: int, d_mid: int, d_out: int,
@@ -88,11 +90,8 @@ class FeedForward:
     def infer(self, x: np.ndarray) -> np.ndarray:
         return self.lin2.infer(_gelu32(self.lin1.infer(x)))
 
-    def params(self):
-        return [*self.lin1.params(), *self.lin2.params()]
 
-
-class HeadMLP:
+class HeadMLP(Module):
     """linear -> [BN] -> GELU -> linear.
 
     With the norm present the first linear drops its bias: BN's beta
@@ -115,17 +114,8 @@ class HeadMLP:
     def infer(self, x: np.ndarray) -> np.ndarray:
         return self.lin2.infer(_gelu32(self.lin1.infer(x, self.bn)))
 
-    def params(self):
-        ps = self.lin1.params()
-        if self.bn is not None:
-            ps += self.bn.params()
-        return ps + self.lin2.params()
 
-    def bn_layers(self):
-        return [self.bn] if self.bn is not None else []
-
-
-class TransformerBlock:
+class TransformerBlock(Module):
     def __init__(self, name: str, d_in: int, d_model: int,
                  rng: np.random.Generator, pad_mode: str):
         self.pre = FeedForward(f"{name}.pre", d_in, d_model, d_model, rng)
@@ -140,14 +130,8 @@ class TransformerBlock:
         h = self.pre.infer(x)
         return self.post.infer(self.attn.infer(h, nb) + h)
 
-    def params(self):
-        return [*self.pre.params(), *self.attn.params(), *self.post.params()]
 
-    def bn_layers(self):
-        return self.attn.bn_layers()
-
-
-class RadFinerNet:
+class RadFinerNet(Module):
     def __init__(self, config: NetworkConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
@@ -222,46 +206,36 @@ class RadFinerNet:
         """Inference-mode class codes; argmax ties resolve to the lowest code."""
         return np.argmax(self.infer(coords, features), axis=1).astype(np.int64)
 
-    # -- parameter plumbing ----------------------------------------------
-    def params(self) -> list[Param]:
-        return [*self.embed.params(),
-                *self.block1.params(), *self.block2.params(),
-                *self.head1.params(), *self.head2.params(), *self.head3.params()]
-
-    def bn_layers(self) -> list[BatchNorm]:
-        return [*self.block1.bn_layers(), *self.block2.bn_layers(),
-                *self.head1.bn_layers(), *self.head2.bn_layers(),
-                *self.head3.bn_layers()]
-
+    # -- state and checkpoints -------------------------------------------
     def set_bn_tracking(self, flag: bool) -> None:
         for bn in self.bn_layers():
             bn.track_stats = flag
 
     def state_entries(self) -> dict[str, np.ndarray]:
+        """Checkpoint name -> the live array, for saving and loading alike."""
         entries = {p.name: p.data for p in self.params()}
         for bn in self.bn_layers():
-            entries.update(bn.state())
+            entries[f"{bn.name}.running_mean"] = bn.running_mean
+            entries[f"{bn.name}.running_var"] = bn.running_var
         return entries
 
     def save(self, path) -> None:
         checkpoint.save_entries(path, self.state_entries())
 
     def load_entries(self, entries: dict[str, np.ndarray]) -> None:
+        """Load every entry in place; a missing, extra or misshapen one is a ConfigError."""
         expected = self.state_entries()
         missing = sorted(set(expected) - set(entries))
         extra = sorted(set(entries) - set(expected))
         if missing or extra:
             raise ConfigError(
                 f"checkpoint mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        for p in self.params():
-            value = np.asarray(entries[p.name], dtype=np.float64)
-            if value.shape != p.data.shape:
+        for name, target in expected.items():
+            value = np.asarray(entries[name], dtype=np.float64)
+            if value.shape != target.shape:
                 raise ConfigError(
-                    f"checkpoint shape for {p.name}: {value.shape} != {p.data.shape}")
-            p.data = value.copy()
-            p.zero_grad()
-        for bn in self.bn_layers():
-            bn.load_state(entries)
+                    f"checkpoint shape for {name}: {value.shape} != {target.shape}")
+            target[...] = value
 
     @classmethod
     def load(cls, path, config: NetworkConfig) -> "RadFinerNet":

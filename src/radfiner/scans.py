@@ -43,6 +43,7 @@ class SemanticClass(IntEnum):
 
 
 NUM_CLASSES = len(SemanticClass)
+CLASS_NAMES = tuple(c.name.lower() for c in SemanticClass)
 THING_CLASSES = tuple(c for c in SemanticClass if c != SemanticClass.STATIC)
 
 

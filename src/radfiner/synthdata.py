@@ -220,13 +220,35 @@ class SurrogateConfig:
             raise ConfigError("merge_gap and boundary_reach must be positive")
 
 
+def _merge_nearby(xy: np.ndarray, moving: np.ndarray, ids: np.ndarray,
+                  rng: np.random.Generator, config: SurrogateConfig) -> None:
+    """In place, each pair of moving instances closer than `merge_gap`
+    merges with probability `eps_merge`, drawn in ascending (id, id)
+    order; merges chain, and a merged group takes its smallest id."""
+    member = np.flatnonzero(moving & (ids > 0))
+    member = member[np.argsort(ids[member], kind="stable")]
+    present, starts, inverse = np.unique(ids[member], return_index=True,
+                                         return_inverse=True)
+    if present.size < 2:
+        return
+    d = cdist(xy[member], xy[member])
+    gap = np.minimum.reduceat(np.minimum.reduceat(d, starts, axis=0), starts, axis=1)
+    a, b = np.nonzero(np.triu(gap < config.merge_gap, k=1))
+    hit = rng.random(a.size) < config.eps_merge
+    linked = np.eye(present.size, dtype=bool)
+    linked[a[hit], b[hit]] = linked[b[hit], a[hit]] = True
+    for _ in range(present.size.bit_length()):  # each squaring doubles the reach
+        linked = linked @ linked
+    ids[member] = present[linked.argmax(axis=1)][inverse]
+
+
 def surrogate_backbone(scan: RadarScan, config: SurrogateConfig, seed: int) -> MovingPrediction:
     """Replay the ground-truth moving mask with seeded label faults.
 
     Error modes are applied in a fixed order: misses, boundary false
     positives (attached to the nearest instance's id), one optional clutter
-    instance, then pairwise merges of instances whose minimum point gap is
-    below `merge_gap`.  Coordinates and features are never touched.
+    instance, then merges of nearby instances (`_merge_nearby`).
+    Coordinates and features are never touched.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, int(seed))))
     n = len(scan)
@@ -260,31 +282,7 @@ def surrogate_backbone(scan: RadarScan, config: SurrogateConfig, seed: int) -> M
             moving[chosen] = True
             ids[chosen] = fresh
 
-    present = np.unique(ids[moving])
-    present = present[present > 0]
-    if present.size >= 2:
-        groups = {int(i): scan.xy[moving & (ids == i)] for i in present}
-        parent = {int(i): int(i) for i in present}
-
-        def root(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for ai in range(len(present)):
-            for bi in range(ai + 1, len(present)):
-                a, b = int(present[ai]), int(present[bi])
-                gap = float(np.min(cdist(groups[a], groups[b])))
-                if gap < config.merge_gap and rng.random() < config.eps_merge:
-                    ra, rb = root(a), root(b)
-                    if ra != rb:
-                        lo_id, hi_id = min(ra, rb), max(ra, rb)
-                        parent[hi_id] = lo_id
-        remap = {i: root(i) for i in map(int, present)}
-        mov_idx = np.flatnonzero(moving)
-        ids[mov_idx] = np.array([remap[int(i)] for i in ids[mov_idx]], dtype=np.int64)
-
+    _merge_nearby(scan.xy, moving, ids, rng, config)
     return MovingPrediction(scan.scan_id, moving, ids)
 
 

@@ -63,6 +63,36 @@ def test_init_is_seed_deterministic():
                for pa, pc in zip(a.params(), c.params()))
     names = [p.name for p in a.params()]
     assert len(names) == len(set(names))
+    # attribute order defines parameter order (and so every parameter
+    # hash and optimizer pairing); a reordered constructor must fail here
+    net = RadFinerNet(toy_config(head_norm="bn"))
+    assert [p.name for p in net.params()] == [
+        "embed.lin1.weight", "embed.lin1.bias", "embed.lin2.weight",
+        "embed.lin2.bias", "block1.pre.lin1.weight", "block1.pre.lin1.bias",
+        "block1.pre.lin2.weight", "block1.pre.lin2.bias", "block1.attn.wq",
+        "block1.attn.wk", "block1.attn.wv", "block1.attn.pos.w1",
+        "block1.attn.pos.bn.gamma", "block1.attn.pos.bn.beta", "block1.attn.pos.w2",
+        "block1.attn.mlp_w1", "block1.attn.mlp_bn1.gamma",
+        "block1.attn.mlp_bn1.beta", "block1.attn.mlp_w2",
+        "block1.attn.mlp_bn2.gamma", "block1.attn.mlp_bn2.beta",
+        "block1.post.lin1.weight", "block1.post.lin1.bias",
+        "block1.post.lin2.weight", "block1.post.lin2.bias",
+        "block2.pre.lin1.weight", "block2.pre.lin1.bias", "block2.pre.lin2.weight",
+        "block2.pre.lin2.bias", "block2.attn.wq", "block2.attn.wk",
+        "block2.attn.wv", "block2.attn.pos.w1", "block2.attn.pos.bn.gamma",
+        "block2.attn.pos.bn.beta", "block2.attn.pos.w2", "block2.attn.mlp_w1",
+        "block2.attn.mlp_bn1.gamma", "block2.attn.mlp_bn1.beta",
+        "block2.attn.mlp_w2", "block2.attn.mlp_bn2.gamma",
+        "block2.attn.mlp_bn2.beta", "block2.post.lin1.weight",
+        "block2.post.lin1.bias", "block2.post.lin2.weight", "block2.post.lin2.bias",
+        "head1.lin1.weight", "head1.bn.gamma", "head1.bn.beta", "head1.lin2.weight",
+        "head1.lin2.bias", "head2.lin1.weight", "head2.bn.gamma", "head2.bn.beta",
+        "head2.lin2.weight", "head2.lin2.bias", "head3.lin1.weight",
+        "head3.bn.gamma", "head3.bn.beta", "head3.lin2.weight", "head3.lin2.bias"]
+    assert [bn.name for bn in net.bn_layers()] == [
+        "block1.attn.pos.bn", "block1.attn.mlp_bn1", "block1.attn.mlp_bn2",
+        "block2.attn.pos.bn", "block2.attn.mlp_bn1", "block2.attn.mlp_bn2",
+        "head1.bn", "head2.bn", "head3.bn"]
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 import radfiner.cli as cli
 from radfiner import blas
+from radfiner.checkpoint import save_entries
 from radfiner.configio import (augment_config, known_keys, load_config,
                                net_config, parse_config, scene_config,
                                surrogate_config, train_config,
@@ -296,6 +297,15 @@ def test_forged_checkpoint_shape_exits_two(tmp_path, capsys):
         assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
                          "--checkpoint", str(forged)]) == 2
         assert "forged.ckpt:2:" in capsys.readouterr().err
+    # well-formed file, but a running statistic of the wrong length
+    entries = RadFinerNet(toy_config()).state_entries()
+    name = "block1.attn.mlp_bn1.running_mean"
+    assert entries[name].shape == (8,)
+    entries[name] = np.zeros(3)
+    save_entries(forged, entries)
+    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+                     "--checkpoint", str(forged)]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_bad_config_file_exits_two(tmp_path):
@@ -306,6 +316,8 @@ def test_bad_config_file_exits_two(tmp_path):
     rc = cli.main(["generate", "--out", str(tmp_path / "x"), "--count", "1",
                    "--config", str(cfg)])
     assert rc == 2
+    assert cli.main(["generate", "--out", str(tmp_path / "neg"), "--count", "-1"]) == 2
+    assert not (tmp_path / "neg").exists()
 
 
 def test_gradcheck_cli_passes_and_fails(tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from radfiner.errors import ConfigError
 from radfiner.scans import RadarScan, SemanticClass, save_scans
-from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
-                                generate_scene, radial_doppler,
+from radfiner.synthdata import (SceneConfig, SurrogateConfig, _merge_nearby,
+                                generate_corpus, generate_scene, radial_doppler,
                                 surrogate_backbone, surrogate_corpus)
 
 
@@ -216,3 +217,64 @@ def test_surrogate_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.moving, pb.moving)
         assert np.array_equal(pa.instance, pb.instance)
+
+
+def _merge_reference(xy, moving, ids, rng, config):
+    # pair-by-pair scalar draws and a union-find where the lower root wins
+    ids = ids.copy()
+    present = np.unique(ids[moving])
+    present = present[present > 0]
+    if present.size >= 2:
+        groups = {int(i): xy[moving & (ids == i)] for i in present}
+        parent = {int(i): int(i) for i in present}
+
+        def root(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for ai in range(len(present)):
+            for bi in range(ai + 1, len(present)):
+                a, b = int(present[ai]), int(present[bi])
+                gap = float(np.min(cdist(groups[a], groups[b])))
+                if gap < config.merge_gap and rng.random() < config.eps_merge:
+                    ra, rb = root(a), root(b)
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+        mov = np.flatnonzero(moving)
+        ids[mov] = [root(int(i)) for i in ids[mov]]
+    return ids
+
+
+def test_merges_match_union_find_reference():
+    # a-b and b-c are close, a-c are not: all three end on c's id, the smallest
+    chain = (np.array([[0.0, 0.0], [1.5, 0.0], [3.0, 0.0]]),
+             np.ones(3, dtype=bool), np.array([2, 5, 1]))
+    fuzz = np.random.default_rng(17)
+    scenes = [chain]
+    for _ in range(300):
+        n = int(fuzz.integers(1, 40))
+        ids = fuzz.integers(0, int(fuzz.integers(1, 12)), n)
+        moving = (ids > 0) & (fuzz.random(n) < 0.9)
+        ids[~moving] = 0
+        scenes.append((fuzz.uniform(0.0, fuzz.uniform(1.0, 15.0), (n, 2)), moving, ids))
+    for cfg_seed, scan in enumerate(generate_corpus(SceneConfig(seed=12), 20)):
+        pre = surrogate_backbone(scan, SurrogateConfig(
+            eps_boundary=0.3, eps_clutter=0.5, eps_miss=0.1, seed=cfg_seed), 0)
+        scenes.append((scan.xy, pre.moving, pre.instance))
+    merged = 0
+    for eps in (0.5, 1.0):
+        config = SurrogateConfig(eps_merge=eps)
+        for k, (xy, moving, ids) in enumerate(scenes):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            expected = _merge_reference(xy, moving, ids, ref_rng, config)
+            got = ids.copy()
+            _merge_nearby(xy, moving, got, rng, config)
+            assert np.array_equal(got, expected), k
+            assert rng.random() == ref_rng.random()  # as many draws as the loop
+            merged += not np.array_equal(got, ids)
+    xy, moving, ids = chain
+    _merge_nearby(xy, moving, ids, np.random.default_rng(0), SurrogateConfig(eps_merge=1.0))
+    assert ids.tolist() == [1, 1, 1]
+    assert merged > 100
