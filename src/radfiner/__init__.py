@@ -8,6 +8,8 @@ generator with a fault-injecting backbone surrogate, and panoptic-quality
 evaluation.
 """
 
+__version__ = "0.1.0"
+
 from .attention import PositionalEncoder, RadiusAttention
 from .errors import (ConfigError, DataError, DataFormatError, NumericsError,
                      ValidationError)
@@ -32,8 +34,6 @@ from .synthdata import (ClassProfile, SceneConfig, SurrogateConfig,
                         surrogate_corpus)
 from .training import (AugmentConfig, AugmentedSample, LossBreakdown,
                        TrainConfig, augment_scan, scan_rng, train)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdamW", "AugmentConfig", "AugmentedSample", "BatchNorm", "ClassProfile",

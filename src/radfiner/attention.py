@@ -90,14 +90,17 @@ class RadiusAttention(Module):
                 f"({nb.n_points}, {self.width})")
         masked = self.pad_mode == "mask"
         valid = nb.valid
-        mask3 = valid[..., None].astype(np.float64)
 
         q = ad.matmul(x, self.wq)
         k = ad.matmul(x, self.wk)
         v = ad.matmul(x, self.wv)
-        # gathering pulls row 0 into padded slots; zero them in either mode
-        qk = ad.gather_rows(q - k, nb.indices) * mask3
-        vg = ad.gather_rows(v, nb.indices) * mask3
+        qk = ad.gather_rows(q - k, nb.indices)
+        vg = ad.gather_rows(v, nb.indices)
+        if not masked:
+            # gathering pulls row 0 into padded slots; zeropad sees zeros
+            # there (mask mode drops those rows at mlp_bn1 and the softmax)
+            mask3 = valid[..., None].astype(np.float64)
+            qk, vg = qk * mask3, vg * mask3
         r_enc = self.pos(nb.rel_pos, valid, training, zero_invalid=masked)
 
         a = qk + r_enc
@@ -125,8 +128,8 @@ class RadiusAttention(Module):
         and the per-point products x @ (Wq - Wk) and x @ Wv are made
         once per call; everything per (anchor, slot) row, from the
         positional MLP to the weighted slot sum, then runs over tiles of
-        `TILE_ROWS // n_slots` anchors, each writing its own rows of the
-        output.  Slot 0, the anchor, is always valid, so each softmax
+        `TILE_ROWS // m` anchors of m slots, each writing its own rows
+        of the output.  Slot 0, the anchor, is always valid, so each softmax
         row has a finite maximum and a denominator of at least 1: both
         pad modes share one softmax, masked mode setting the padded
         logits to -inf.

@@ -15,6 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+# threads of training, so its bytes do not depend on the core count, and of
+# split evaluation, so its forked workers do not each start one per core
+BLAS_THREADS = 1
+
 # (query, setter) pairs: the scipy-openblas wheels prefix their symbols
 _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),

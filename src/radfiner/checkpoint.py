@@ -59,5 +59,7 @@ def load_entries(path) -> dict[str, np.ndarray]:
             raise DataFormatError(
                 f"{path}:{lineno}: {name} declares shape {shape} but has "
                 f"{len(values)} values")
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{path}:{lineno}: {name} holds a non-finite value")
         entries[name] = np.array(values, dtype=np.float64).reshape(shape)
     return entries

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas, configio
+from . import __version__, blas, configio
 from .attention import PAD_MODES
 from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import full_network_check
@@ -30,9 +30,7 @@ from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
 from .refinement import REFINE_MODES
 from .synthdata import generate_corpus, generate_scene, surrogate_corpus
-from .training import BLAS_THREADS, CLUTTER_SOURCES, train
-
-VERSION = "0.1.0"
+from .training import CLUTTER_SOURCES, train
 
 SCANS_FILE = "scans.txt"
 PREDS_FILE = "surrogate.txt"
@@ -52,7 +50,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict,
                     timings: dict) -> None:
     payload = {
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "resolved": resolved,
         "timings_s": timings,
         "hardware": {
@@ -66,6 +64,12 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict,
     with open(out_dir / f"manifest_{command}.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _blas_threads():
+    """The OpenBLAS thread count that train and eval pin, for their manifests."""
+    return (blas.BLAS_THREADS if blas.can_set_threads() else
+            "not pinned: no OpenBLAS set_num_threads symbol")
 
 
 def _load_split(data_dir: Path):
@@ -111,6 +115,8 @@ def _scan_svg(scan) -> str:
 
 def _cmd_generate(args) -> int:
     t0 = time.perf_counter()
+    if args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     mapping = configio.load_config(args.config) if args.config else {}
     scene_cfg = configio.scene_config(mapping, seed=args.seed)
     surr_cfg = configio.surrogate_config(mapping, seed=args.surrogate_seed)
@@ -174,8 +180,7 @@ def _cmd_train(args) -> int:
                      "train": configio.section(tcfg),
                      "augment": configio.section(acfg),
                      "refine_mode": args.refine_mode, "out": str(out_dir),
-                     "blas_threads": (BLAS_THREADS if blas.can_set_threads() else
-                                      "not pinned: no OpenBLAS set_num_threads symbol")},
+                     "blas_threads": _blas_threads()},
                     {"total": time.perf_counter() - t0})
     last = history[-1]
     print(f"trained {tcfg.epochs} epochs; final total {last['total']:.4f}, "
@@ -215,7 +220,7 @@ def _cmd_eval(args) -> int:
                         {"data": args.data, "source": args.source,
                          "checkpoint": args.checkpoint, "refine": refine,
                          "refine_mode": args.refine_mode, "workers": args.workers,
-                         "out": str(out_dir)},
+                         "blas_threads": _blas_threads(), "out": str(out_dir)},
                         {"total": time.perf_counter() - t0})
     pq, mean_pq = panoptic_quality(stats)
     _, miou = mean_iou(stats)

@@ -6,12 +6,14 @@ surrogate.*, train.*, augment.*) configure the generator, fault injector,
 schedule and augmentation, and scene.<thing>.* the per-class profiles.
 The keys, their types and their defaults all come from the config
 dataclasses; a tuple field is written "lo:hi".  Unknown keys are rejected
-so typos surface instead of silently keeping a default.
+so typos surface instead of silently keeping a default, and a float
+that is not finite (nan, inf) is rejected, from a file or a flag alike.
 configs/default.cfg in the repository lists every key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,9 +29,8 @@ SECTIONS = (("", NetworkConfig), ("scene.", SceneConfig),
             ("augment.", AugmentConfig))
 # field name -> file key where the two differ
 _FILE_KEYS = {"n_max": "nmax", "instances_per_scan": "instances"}
-# fields no file sets: the input width is fixed by the scan format, and the
-# profiles have their own scene.<thing>. sections
-_SKIPPED = ("d_in", "profiles")
+# the profiles have their own scene.<thing>. sections
+_SKIPPED = ("profiles",)
 
 
 def _keys(cfg) -> dict[str, str]:
@@ -101,7 +102,8 @@ def _cast(text: str, default):
 
 def _build(base, mapping: dict[str, str], prefix: str, **overrides):
     """`base` with the fields its section of `mapping` sets, then every
-    override that is not None; validated once, on the result."""
+    override that is not None; each set float must be finite, and the
+    result is validated once."""
     changes = {}
     for key, name in _keys(base).items():
         text = mapping.get(prefix + key)
@@ -111,6 +113,10 @@ def _build(base, mapping: dict[str, str], prefix: str, **overrides):
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"config key {prefix}{key}={text!r}: {exc}")
     changes.update((k, v) for k, v in overrides.items() if v is not None)
+    for name, value in changes.items():
+        members = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in members):
+            raise ConfigError(f"{prefix}{name} must be finite, got {_text(value)}")
     return replace(base, **changes)
 
 

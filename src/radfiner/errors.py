@@ -21,5 +21,5 @@ class ConfigError(DataError):
     """A configuration value is out of range or inconsistent."""
 
 
-class NumericsError(Exception):
+class NumericsError(FloatingPointError):
     """Non-finite values or divergence in numerical code."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Param
+from .errors import ConfigError, NumericsError
 
 
 @dataclass
@@ -40,11 +41,13 @@ def gradient_check(loss_fn, params: list[Param], h: float = 1e-5) -> GradCheckRe
     anything stochastic (augmentation draws, dropout-style masks) has
     to be frozen inside loss_fn before calling this.
     """
+    if not (h > 0.0 and np.isfinite(h)):
+        raise ConfigError(f"finite-difference step h must be positive and finite, got {h}")
     for p in params:
         p.zero_grad()
     loss = loss_fn()
     if not np.isfinite(loss.data):
-        raise FloatingPointError("gradcheck loss is non-finite")
+        raise NumericsError("gradcheck loss is non-finite")
     ad.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
 
@@ -61,7 +64,7 @@ def gradient_check(loss_fn, params: list[Param], h: float = 1e-5) -> GradCheckRe
             f2 = float(loss_fn().data)
             flat[i] = orig
             if not (np.isfinite(f1) and np.isfinite(f2)):
-                raise FloatingPointError(f"non-finite loss while perturbing {p.name}")
+                raise NumericsError(f"non-finite loss while perturbing {p.name}")
             num = (f1 - f2) / (2.0 * h)
             denom = max(abs(ana[i]), abs(num), 1e-8)
             worst = max(worst, abs(ana[i] - num) / denom)
@@ -87,7 +90,10 @@ def full_network_check(config=None, seed: int = 1, n_points: int = 20,
     from .losses import total_loss
     from .neighborhood import ball_query
     from .network import RadFinerNet, toy_config
+    from .scans import feature_matrix
 
+    if n_points < 1:
+        raise ConfigError(f"gradcheck needs at least one point, got {n_points}")
     if config is None:
         config = toy_config()
     net = RadFinerNet(config)
@@ -95,10 +101,9 @@ def full_network_check(config=None, seed: int = 1, n_points: int = 20,
 
     rng = np.random.default_rng(seed)
     coords = rng.uniform(-3.0, 3.0, (n_points, 2))
-    features = np.zeros((n_points, 5))
-    features[:, 0:2] = coords * 10.0
-    features[:, 3] = rng.normal(size=n_points) * 10.0
-    features[:, 4] = rng.normal(size=n_points) * 10.0
+    rcs = rng.normal(size=n_points) * 10.0
+    doppler = rng.normal(size=n_points) * 10.0
+    features = feature_matrix(coords * 10.0, rcs, doppler)
     targets = rng.integers(0, config.classes, n_points)
     instance_ids = rng.integers(0, 4, n_points)
     nb = ball_query(coords, config.radius, config.n_max)

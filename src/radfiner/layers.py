@@ -74,18 +74,24 @@ class BatchNorm(Module):
     """Per-channel normalization with running statistics.
 
     Training mode uses biased batch statistics over the valid rows and
-    folds them into the running estimates with the given momentum; it
-    records one tape node with the analytic backward
-    (`autodiff.batch_norm`).  Eval mode applies the running affine only.
-    `track_stats` can be switched off to keep repeated forwards (e.g.
-    finite differencing) from drifting the running estimates.
+    folds them into the running estimates with `momentum`; it records
+    one tape node with the analytic backward (`autodiff.batch_norm`).
+    Eval mode applies the running affine only.  `track_stats` can be
+    switched off to keep repeated forwards (e.g. finite differencing)
+    from drifting the running estimates.
+
+    `eps` and `momentum` are the standard constants of Ioffe & Szegedy
+    (arXiv 1502.03167).  Every norm of the network uses them, and the
+    checkpoints and reference losses were made with them, so they are
+    fixed rather than per-layer settings.
     """
 
-    def __init__(self, name: str, width: int, eps: float = 1e-8, momentum: float = 0.1):
+    eps = 1e-8
+    momentum = 0.1
+
+    def __init__(self, name: str, width: int):
         self.name = name
         self.width = width
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.gamma = Param(f"{name}.gamma", np.ones(width))
         self.beta = Param(f"{name}.beta", np.zeros(width))
         self.running_mean = np.zeros(width)

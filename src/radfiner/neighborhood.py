@@ -39,10 +39,6 @@ class Neighborhood:
     def n_points(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def n_slots(self) -> int:
-        return self.indices.shape[1]
-
 
 def _check_inputs(points: np.ndarray, radius: float, n_max: int) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)

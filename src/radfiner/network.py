@@ -28,14 +28,13 @@ from .autodiff import Tensor
 from .errors import ConfigError
 from .layers import BatchNorm, Linear, Module
 from .neighborhood import Neighborhood, ball_query
-from .scans import NUM_CLASSES
+from .scans import N_FEATURES, NUM_CLASSES
 
 HEAD_NORMS = ("bn", "none")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    d_in: int = 5
     d1: int = 64
     d2: int = 256
     head1: int = 0  # 0 = derive as d2/2, d2/4, d2/8
@@ -49,7 +48,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d_in, self.d1, self.d2, self.classes) < 1:
+        if min(self.d1, self.d2, self.classes) < 1:
             raise ConfigError("network widths must be positive")
         if self.radius <= 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
@@ -136,7 +135,7 @@ class RadFinerNet(Module):
         self.config = config
         rng = np.random.default_rng(config.seed)
         h1, h2, h3 = config.head_widths()
-        self.embed = FeedForward("embed", config.d_in, config.d1, config.d1, rng)
+        self.embed = FeedForward("embed", N_FEATURES, config.d1, config.d1, rng)
         self.block1 = TransformerBlock("block1", config.d1, config.d1, rng,
                                        config.attn_pad)
         self.block2 = TransformerBlock("block2", config.d1, config.d2, rng,
@@ -154,9 +153,8 @@ class RadFinerNet(Module):
         it sits) and every column is scaled to roughly unit range.  Not
         part of the differentiated graph."""
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.config.d_in:
-            raise ConfigError(
-                f"features must be (N, {self.config.d_in}), got {features.shape}")
+        if features.ndim != 2 or features.shape[1] != N_FEATURES:
+            raise ConfigError(f"features must be (N, {N_FEATURES}), got {features.shape}")
         if len(features) == 0:
             return features, nb
         if nb is None:

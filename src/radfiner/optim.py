@@ -7,6 +7,11 @@ Update per step t (bias-corrected moments mhat, vhat):
 Decay multiplies the raw parameter, not the gradient, so it is
 independent of the adaptive scaling.  step() consumes and zeroes the
 accumulated gradients.
+
+beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are the standard constants of
+Adam and AdamW (Loshchilov & Hutter, arXiv 1711.05101).  Training only
+ever tunes lr and weight_decay, and the checkpoints and reference losses
+were made with these values, so they are class constants, not options.
 """
 
 from __future__ import annotations
@@ -14,18 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Param
+from .errors import NumericsError
 
 
 class AdamW:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, params: list[Param], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+                 weight_decay: float = 0.01):
         if lr <= 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
         if weight_decay < 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         names = [p.name for p in params]
@@ -33,8 +38,6 @@ class AdamW:
             raise ValueError("duplicate parameter names in optimizer")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
@@ -48,7 +51,7 @@ class AdamW:
         for p in self.params:
             g = p.grad
             if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for {p.name}")
+                raise NumericsError(f"non-finite gradient for {p.name}")
             m = self.m[p.name]
             v = self.v[p.name]
             m *= b1
@@ -59,8 +62,4 @@ class AdamW:
             vhat = v / bc2
             p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
                                  + self.weight_decay * p.data)
-            p.zero_grad()
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.zero_grad()

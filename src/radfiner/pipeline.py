@@ -13,7 +13,8 @@ Three scoring modes cover the evaluation story:
 
 Per-scan work is independent; with workers > 1 scans are predicted in a
 fork pool, and the per-scan stats are merged in corpus order, so results
-are identical for any worker count.
+are identical for any worker count.  Splits are predicted with OpenBLAS
+on blas.BLAS_THREADS threads, which forked workers inherit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from . import blas
 from .errors import ValidationError
 from .metrics import PanopticStats, scan_stats
 from .network import RadFinerNet
@@ -105,11 +107,12 @@ def predict_split(scans: list[RadarScan], preds: list[MovingPrediction],
         raise ValidationError(f"workers must be >= 1, got {workers}")
     pairs = pair_predictions(scans, preds)
     ctx = (pairs, net, refine, refine_mode)
-    if workers > 1 and len(pairs) > 1:
-        with get_context("fork").Pool(workers, _start_worker, (ctx,)) as pool:
-            pans = pool.map(_panoptic, range(len(pairs)))
-    else:
-        pans = [_panoptic(i, ctx) for i in range(len(pairs))]
+    with blas.threads(blas.BLAS_THREADS):
+        if workers > 1 and len(pairs) > 1:
+            with get_context("fork").Pool(workers, _start_worker, (ctx,)) as pool:
+                pans = pool.map(_panoptic, range(len(pairs)))
+        else:
+            pans = [_panoptic(i, ctx) for i in range(len(pairs))]
     return [(scan, pan) for (scan, _), pan in zip(pairs, pans)]
 
 

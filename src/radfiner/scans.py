@@ -43,6 +43,7 @@ class SemanticClass(IntEnum):
 
 
 NUM_CLASSES = len(SemanticClass)
+N_FEATURES = 5  # x, y, z, rcs, doppler
 CLASS_NAMES = tuple(c.name.lower() for c in SemanticClass)
 THING_CLASSES = tuple(c for c in SemanticClass if c != SemanticClass.STATIC)
 
@@ -71,6 +72,15 @@ def _validate_labels(sem: np.ndarray, instance: np.ndarray, what: str) -> None:
             raise ValidationError(f"{what}: instance {bad} spans multiple semantic classes")
 
 
+def feature_matrix(xy, rcs, doppler) -> np.ndarray:
+    """(N, N_FEATURES) model input rows x, y, z(=0), rcs, doppler."""
+    out = np.zeros((len(xy), N_FEATURES))
+    out[:, 0:2] = xy
+    out[:, 3] = rcs
+    out[:, 4] = doppler
+    return out
+
+
 class RadarScan:
     """One scan: coordinates, features and ground-truth panoptic labels."""
 
@@ -95,18 +105,9 @@ class RadarScan:
     def __len__(self) -> int:
         return len(self.xy)
 
-    def coords(self) -> np.ndarray:
-        """(N, 2) ground-plane positions."""
-        return self.xy
-
     def features(self) -> np.ndarray:
         """(N, 5) model input: x, y, z(=0), rcs, doppler."""
-        n = len(self)
-        out = np.zeros((n, 5))
-        out[:, 0:2] = self.xy
-        out[:, 3] = self.rcs
-        out[:, 4] = self.doppler
-        return out
+        return feature_matrix(self.xy, self.rcs, self.doppler)
 
     def moving_mask(self) -> np.ndarray:
         """Ground-truth mask of points on thing instances."""
@@ -174,7 +175,7 @@ def select_moving(scan: RadarScan, pred: MovingPrediction):
         raise ValidationError(
             f"scan {scan.scan_id}: {len(scan)} points but prediction has {len(pred)}")
     index_map = np.flatnonzero(pred.moving)
-    return scan.coords()[index_map], scan.features()[index_map], index_map
+    return scan.xy[index_map], scan.features()[index_map], index_map
 
 
 # --------------------------------------------------------------------------

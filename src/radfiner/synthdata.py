@@ -117,13 +117,11 @@ def _wedge_positions(rng: np.random.Generator, n: int, cfg: SceneConfig,
     return np.stack([rr * np.cos(az), rr * np.sin(az)], axis=1)
 
 
-def generate_scene(config: SceneConfig, seed: int, scan_id: str | None = None) -> RadarScan:
-    """One deterministic scene.  `seed` is typically the scan index; the
-    stream is derived from (config.seed, seed) so corpora with different
-    base seeds never share scans."""
+def generate_scene(config: SceneConfig, seed: int) -> RadarScan:
+    """One deterministic scene, with scan id str(seed).  `seed` is
+    typically the scan index; the stream is derived from (config.seed,
+    seed) so corpora with different base seeds never share scans."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, int(seed))))
-    if scan_id is None:
-        scan_id = str(int(seed))
 
     xy, rcs, dop, sem, inst = [], [], [], [], []
 
@@ -181,7 +179,7 @@ def generate_scene(config: SceneConfig, seed: int, scan_id: str | None = None) -
 
     if not xy:
         raise ConfigError("scene config produced an empty scan")
-    return RadarScan(scan_id,
+    return RadarScan(str(int(seed)),
                      np.concatenate(xy, axis=0),
                      np.concatenate(rcs),
                      np.concatenate(dop),

@@ -33,13 +33,9 @@ from .neighborhood import ball_query
 from .network import RadFinerNet
 from .optim import AdamW
 from .pipeline import evaluate_split
-from .scans import MovingPrediction, RadarScan
+from .scans import MovingPrediction, RadarScan, feature_matrix
 
 CLUTTER_SOURCES = ("sampled", "synthetic")
-
-# train() runs OpenBLAS on this many threads, so that the bytes it writes
-# do not depend on the core count
-BLAS_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -119,20 +115,9 @@ def scan_rng(seed: int, epoch: int, scan_id: str) -> np.random.Generator:
 def augment_scan(scan: RadarScan, cfg: AugmentConfig,
                  rng: np.random.Generator) -> AugmentedSample:
     moving = scan.moving_mask()
-    feats = scan.features()
-    coords = [scan.xy[moving]]
-    features = [feats[moving]]
-    targets = [scan.sem[moving]]
-    ids = [scan.instance[moving]]
     n_original = int(np.sum(moving))
     static_idx = np.flatnonzero(~moving)
-
-    def append(pos, rcs, dop):
-        row = np.array([pos[0], pos[1], 0.0, rcs, dop])
-        coords.append(np.asarray(pos, dtype=np.float64).reshape(1, 2))
-        features.append(row.reshape(1, 5))
-        targets.append(np.zeros(1, dtype=np.int64))
-        ids.append(np.zeros(1, dtype=np.int64))
+    injected = []  # (position, rcs, doppler) per injected point, in draw order
 
     # boundary mimics: one static-target point next to a triggered instance.
     # The offset radius is |N(0, sigma)| with a uniform direction.
@@ -146,9 +131,9 @@ def augment_scan(scan: RadarScan, cfg: AugmentConfig,
         pos = scan.xy[src] + radius * np.array([np.cos(angle), np.sin(angle)])
         if static_idx.size:
             donor = static_idx[rng.integers(static_idx.size)]
-            append(pos, scan.rcs[donor], scan.doppler[donor])
+            injected.append((pos, scan.rcs[donor], scan.doppler[donor]))
         else:
-            append(pos, float(np.median(scan.rcs[members])), 0.0)
+            injected.append((pos, float(np.median(scan.rcs[members])), 0.0))
 
     # clutter mimic: a small static-target group somewhere in the scan
     if rng.random() < cfg.p_scan:
@@ -160,16 +145,18 @@ def augment_scan(scan: RadarScan, cfg: AugmentConfig,
             pos = center + rng.normal(0.0, cfg.clutter_sigma, 2)
             if cfg.clutter_source == "sampled" and static_idx.size:
                 donor = static_idx[rng.integers(static_idx.size)]
-                append(pos, scan.rcs[donor], scan.doppler[donor])
+                injected.append((pos, scan.rcs[donor], scan.doppler[donor]))
             else:
                 base = float(np.median(scan.rcs[static_idx])) if static_idx.size else 0.0
-                append(pos, rng.normal(base, 1.0), rng.normal(0.0, 0.05))
+                injected.append((pos, rng.normal(base, 1.0), rng.normal(0.0, 0.05)))
 
-    return AugmentedSample(np.concatenate(coords, axis=0),
-                           np.concatenate(features, axis=0),
-                           np.concatenate(targets),
-                           np.concatenate(ids),
-                           n_original)
+    new = np.array([(*pos, rcs, dop) for pos, rcs, dop in injected]).reshape(-1, 4)
+    xy = np.concatenate([scan.xy[moving], new[:, 0:2]])
+    features = feature_matrix(xy, np.concatenate([scan.rcs[moving], new[:, 2]]),
+                              np.concatenate([scan.doppler[moving], new[:, 3]]))
+    zeros = np.zeros(len(new), dtype=np.int64)
+    return AugmentedSample(xy, features, np.concatenate([scan.sem[moving], zeros]),
+                           np.concatenate([scan.instance[moving], zeros]), n_original)
 
 
 # -- training loop ------------------------------------------------------------
@@ -200,7 +187,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
     validation PQ/mIoU of the refined pipeline on the val split when one
     is given, and the learning rate in force.  With out_dir set, each
     epoch appends to history.csv and writes a ckpt_epochNN checkpoint.
-    OpenBLAS runs on BLAS_THREADS threads for the duration.
+    OpenBLAS runs on blas.BLAS_THREADS threads for the duration.
     """
     if not train_scans:
         raise ValidationError("training needs at least one scan")
@@ -214,7 +201,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         hist = open(out_dir / "history.csv", "w")
 
-    with blas.threads(BLAS_THREADS), hist as hist_fh:
+    with blas.threads(blas.BLAS_THREADS), hist as hist_fh:
         if hist_fh is not None:
             hist_fh.write(",".join(HISTORY_COLUMNS) + "\n")
         for epoch in range(1, tcfg.epochs + 1):

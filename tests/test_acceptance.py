@@ -265,10 +265,11 @@ def _desk_arm(train_scans, test_scans, test_preds, net_kwargs, aug_kwargs):
 def desk_runs():
     """Reference corpus and the three desk trainings shared by 6a/6b/7.
 
-    The arms train in two spawned worker processes with single-threaded
-    BLAS: the last bits of a BLAS product depend on its thread count, so
-    pinning it makes the PQs independent of the machine's core count,
-    and one thread per arm leaves the second core to the other arm.
+    The arms train in two spawned worker processes.  `train` and
+    `evaluate_split` run OpenBLAS on `blas.BLAS_THREADS` (one) threads:
+    the last bits of a BLAS product depend on its thread count, so the
+    PQs do not depend on the machine's core count, and one thread per
+    arm leaves the second core to the other arm.
     """
     t0 = time.perf_counter()
     train_scans = generate_corpus(SceneConfig(seed=1), 250)
@@ -281,16 +282,12 @@ def desk_runs():
         "refined_noaug": ({}, dict(p_instance=0.0, p_scan=0.0)),
         "refined_nmax4": (dict(n_max=4), dict(p_instance=0.4, p_scan=0.4)),
     }
-    with pytest.MonkeyPatch.context() as mp:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            mp.setenv(var, "1")  # read by each worker's numpy at import
-        with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
-            futures = {name: pool.submit(_desk_arm, train_scans, test_scans,
-                                         test_preds, *kwargs)
-                       for name, kwargs in arms.items()}
-            base = panoptic_quality(evaluate_split(test_scans, test_preds,
-                                                   net=None))[1]
-            runs = {name: f.result() for name, f in futures.items()}
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        futures = {name: pool.submit(_desk_arm, train_scans, test_scans,
+                                     test_preds, *kwargs)
+                   for name, kwargs in arms.items()}
+        base = panoptic_quality(evaluate_split(test_scans, test_preds, net=None))[1]
+        runs = {name: f.result() for name, f in futures.items()}
     return {"baseline": base, **runs, "runtime": time.perf_counter() - t0}
 
 

@@ -32,7 +32,7 @@ def _bn_ref(x, valid, gamma, beta, eps=1e-8, zero_invalid=True):
 def _loop_attention(x, nb, layer, pad_mode):
     """Equation-by-equation reference, training-mode batch norm."""
     n, d = x.shape
-    m = nb.n_slots
+    m = nb.indices.shape[1]
     wq, wk, wv = layer.wq.data, layer.wk.data, layer.wv.data
     q, k, v = x @ wq, x @ wk, x @ wv
     masked = pad_mode == "mask"

@@ -52,7 +52,7 @@ def test_batchnorm_masked_stats_ignore_padded_rows():
 
 def test_batchnorm_running_stats_update_and_eval():
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
-    bn = BatchNorm("bn", 2, momentum=0.1)
+    bn = BatchNorm("bn", 2)
     bn(Tensor(x), training=True)
     # one step from (0, 1): 0.9*init + 0.1*batch
     assert np.allclose(bn.running_mean, 0.1 * np.array([2.0, 20.0]))
@@ -205,7 +205,7 @@ def test_batchnorm_node_matches_primitive_graph(mode):
 
 def test_adamw_single_step_matches_hand_formula():
     p = Param("p", np.array([1.0]))
-    opt = AdamW([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+    opt = AdamW([p], lr=0.1, weight_decay=0.01)
     p.grad[:] = 0.5
     opt.step()
     mhat = 0.5  # (0.1 * 0.5) / (1 - 0.9)
@@ -237,8 +237,6 @@ def test_adamw_rejects_bad_hyperparams_and_nonfinite_grad():
     p = Param("p", np.array([1.0]))
     with pytest.raises(ValueError):
         AdamW([p], lr=0.0)
-    with pytest.raises(ValueError):
-        AdamW([p], betas=(1.0, 0.999))
     with pytest.raises(ValueError):
         AdamW([p], weight_decay=-1.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import radfiner.cli as cli
-from radfiner import blas
+from radfiner import blas, training
 from radfiner.checkpoint import save_entries
 from radfiner.configio import (augment_config, known_keys, load_config,
                                net_config, parse_config, scene_config,
@@ -21,7 +21,7 @@ from radfiner.scans import (SemanticClass, load_predictions, load_scans,
                             select_moving)
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
-from radfiner.training import BLAS_THREADS, AugmentConfig, TrainConfig
+from radfiner.training import AugmentConfig, TrainConfig
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 BUILDERS = ((net_config, NetworkConfig), (scene_config, SceneConfig),
@@ -190,7 +190,7 @@ def test_full_cli_cycle(tmp_path, capsys):
         ("", "net"), ("scene.", "scene"), ("surrogate.", "surrogate"),
         ("train.", "train"), ("augment.", "augment"))))
     assert recorded == known_keys()
-    assert resolved["blas_threads"] == BLAS_THREADS or not blas.can_set_threads()
+    assert resolved["blas_threads"] == blas.BLAS_THREADS or not blas.can_set_threads()
 
     assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 0
     table = capsys.readouterr().out
@@ -318,6 +318,55 @@ def test_bad_config_file_exits_two(tmp_path):
     assert rc == 2
     assert cli.main(["generate", "--out", str(tmp_path / "neg"), "--count", "-1"]) == 2
     assert not (tmp_path / "neg").exists()
+
+
+def test_non_finite_values_exit_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
+    run = tmp_path / "run"
+    for flag, value in (("--lr", "nan"), ("--radius", "inf")):
+        assert cli.main(["train", "--data", str(data), "--out", str(run),
+                         "--epochs", "1", "--d1", "8", "--d2", "16", "--quiet",
+                         flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not run.exists()
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("scene.near_sigma = nan\n")
+    assert cli.main(["generate", "--out", str(tmp_path / "gen"), "--count", "1",
+                     "--config", str(cfg)]) == 2
+    assert "scene.near_sigma must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
+    # a checkpoint holding a nan
+    write_net_config(tmp_path / "net.cfg", toy_config())
+    entries = RadFinerNet(toy_config()).state_entries()
+    entries["embed.lin1.bias"][0] = np.nan
+    save_entries(tmp_path / "nan.ckpt", entries)
+    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+                     "--checkpoint", str(tmp_path / "nan.ckpt")]) == 2
+    assert "embed.lin1.bias holds a non-finite value" in capsys.readouterr().err
+
+
+class _PoisonedAdamW(training.AdamW):
+    """AdamW whose first step meets a non-finite gradient."""
+
+    def step(self):
+        self.params[0].grad = np.full_like(self.params[0].data, np.nan)
+        super().step()
+
+
+@pytest.mark.parametrize("argv, poison, code", [
+    (["gradcheck", "--points", "-1"], False, 2),
+    (["gradcheck", "--h", "0"], False, 2),
+    (["generate", "--out", "{tmp}/gen", "--count", "2", "--workers", "0"], False, 2),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
+      "--d1", "8", "--d2", "16", "--quiet"], True, 3),
+], ids=["gradcheck-points", "gradcheck-h", "generate-workers", "adamw-nan-grad"])
+def test_failures_end_in_their_exit_code(tmp_path, monkeypatch, argv, poison, code):
+    assert cli.main(["generate", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
+    if poison:
+        monkeypatch.setattr(training, "AdamW", _PoisonedAdamW)
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code
+    assert not (tmp_path / "gen").exists()
 
 
 def test_gradcheck_cli_passes_and_fails(tmp_path, capsys):

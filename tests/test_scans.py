@@ -52,7 +52,7 @@ def test_features_layout():
     scan = _tiny_scan()
     feats = scan.features()
     assert feats.shape == (4, 5)
-    assert np.array_equal(feats[:, 0:2], scan.coords())
+    assert np.array_equal(feats[:, 0:2], scan.xy)
     assert np.all(feats[:, 2] == 0.0)
     assert np.array_equal(feats[:, 3], scan.rcs)
     assert np.array_equal(feats[:, 4], scan.doppler)
@@ -65,7 +65,7 @@ def test_select_moving():
                                np.array([0, 4, 0, 9]))
     coords, feats, index_map = sc.select_moving(scan, pred)
     assert np.array_equal(index_map, [1, 3])
-    assert np.array_equal(coords, scan.coords()[[1, 3]])
+    assert np.array_equal(coords, scan.xy[[1, 3]])
     assert feats.shape == (2, 5)
     with pytest.raises(ValidationError):
         sc.select_moving(scan, sc.MovingPrediction("s0", np.zeros(3, bool), np.zeros(3, int)))

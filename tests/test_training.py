@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import radfiner
-from radfiner import blas, training
+from radfiner import blas, pipeline, training
 from radfiner.errors import ConfigError, NumericsError
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
 from radfiner.scans import RadarScan, SemanticClass
-from radfiner.synthdata import SceneConfig, generate_corpus, generate_scene
+from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
+                                generate_scene, surrogate_corpus)
 from radfiner.training import (AugmentConfig, LossBreakdown, TrainConfig,
                                _epoch_lr, augment_scan, scan_rng, train)
 
@@ -233,7 +234,28 @@ def test_train_pins_blas_threads_and_restores_them(monkeypatch):
         assert get() == before
     finally:
         put(old)
-    assert seen and set(seen) == {training.BLAS_THREADS}
+    assert seen and set(seen) == {blas.BLAS_THREADS}
+
+
+def test_predict_split_pins_blas_threads_in_every_worker(monkeypatch):
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("no OpenBLAS thread symbols in this numpy")
+    get, put = lib
+    # each scan's "prediction" is the thread count it ran under
+    monkeypatch.setattr(pipeline, "predict_panoptic", lambda *args, **kwargs: get())
+    scans = generate_corpus(SceneConfig(seed=3), 4)
+    preds = surrogate_corpus(scans, SurrogateConfig(seed=3))
+    old = get()
+    put(2)
+    try:
+        before = get()
+        for workers in (1, 2):
+            results = pipeline.predict_split(scans, preds, net=object(), workers=workers)
+            assert [n for _, n in results] == [blas.BLAS_THREADS] * len(scans), workers
+            assert get() == before
+    finally:
+        put(old)
 
 
 _TRAIN_BYTES = """
