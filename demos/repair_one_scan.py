@@ -12,9 +12,8 @@ import numpy as np
 
 from radfiner.metrics import panoptic_quality, scan_stats
 from radfiner.network import NetworkConfig, RadFinerNet
-from radfiner.pipeline import (classify_selected, majority_true_panoptic,
-                               predict_panoptic)
-from radfiner.scans import CLASS_NAMES
+from radfiner.pipeline import predict_panoptic
+from radfiner.scans import CLASS_NAMES, select_moving
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
 from radfiner.training import AugmentConfig, TrainConfig, train
@@ -55,7 +54,7 @@ def main() -> None:
     # pick the scan where refinement moves PQ the most
     best, best_gain = None, -np.inf
     for scan, pred in zip(show_scans, show_preds):
-        base = majority_true_panoptic(scan, pred)
+        base = predict_panoptic(None, scan, pred)
         ref = predict_panoptic(net, scan, pred)
         gain = (panoptic_quality(scan_stats(scan.sem, scan.instance,
                                             ref.sem, ref.instance))[1]
@@ -65,7 +64,9 @@ def main() -> None:
             best, best_gain = (scan, pred), gain
     scan, pred = best
 
-    classes, ids, index_map = classify_selected(net, scan, pred)
+    coords, feats, index_map = select_moving(scan, pred)
+    classes = net.predict(coords, feats)
+    ids = pred.instance[index_map]
     gt = scan.sem[index_map]
     print(f"scan {scan.scan_id!r}: backbone selected {len(index_map)} points "
           f"({int(np.sum(gt == 0))} of them actually static)")

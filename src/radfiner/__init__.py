@@ -22,8 +22,7 @@ from .metrics import (PanopticStats, accumulate, format_report, mean_iou,
 from .neighborhood import Neighborhood, ball_query, ball_query_bruteforce
 from .network import NetworkConfig, RadFinerNet, toy_config
 from .optim import AdamW
-from .pipeline import (bench_pipeline, evaluate_split, majority_true_panoptic,
-                       predict_panoptic)
+from .pipeline import bench_pipeline, evaluate_split, predict_panoptic
 from .refinement import (assemble_panoptic, refine_instances,
                          refinement_is_idempotent)
 from .scans import (NUM_CLASSES, MovingPrediction, PanopticPrediction,
@@ -47,9 +46,9 @@ __all__ = [
     "bench_pipeline", "consistency_hard", "consistency_soft", "cross_entropy",
     "evaluate_split", "format_report", "full_network_check", "generate_corpus",
     "generate_scene", "gradient_check", "load_predictions", "load_scans",
-    "lovasz_softmax", "majority_true_panoptic", "mean_iou",
-    "panoptic_quality", "predict_panoptic", "refine_instances",
-    "refinement_is_idempotent", "save_predictions", "save_scans", "scan_rng",
-    "scan_stats", "select_moving", "softmax_probs", "surrogate_backbone",
-    "surrogate_corpus", "total_loss", "toy_config", "train", "write_metrics_csv",
+    "lovasz_softmax", "mean_iou", "panoptic_quality", "predict_panoptic",
+    "refine_instances", "refinement_is_idempotent", "save_predictions",
+    "save_scans", "scan_rng", "scan_stats", "select_moving", "softmax_probs",
+    "surrogate_backbone", "surrogate_corpus", "total_loss", "toy_config",
+    "train", "write_metrics_csv",
 ]

@@ -28,7 +28,6 @@ from .network import HEAD_NORMS, RadFinerNet, toy_config
 from .pipeline import bench_pipeline, predict_split, score_split
 from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
-from .refinement import REFINE_MODES
 from .synthdata import generate_corpus, generate_scene, surrogate_corpus
 from .training import CLUTTER_SOURCES, train
 
@@ -172,15 +171,13 @@ def _cmd_train(args) -> int:
     net = RadFinerNet(net_cfg)
     net, history = train(train_scans, net, tcfg, acfg, out_dir=out_dir,
                          val_scans=val_scans, val_preds=val_preds,
-                         refine_mode=args.refine_mode,
                          log=(None if args.quiet else print))
     _write_manifest(out_dir, "train",
                     {"config": args.config, "data": args.data, "val": args.val,
                      "net": configio.section(net_cfg),
                      "train": configio.section(tcfg),
                      "augment": configio.section(acfg),
-                     "refine_mode": args.refine_mode, "out": str(out_dir),
-                     "blas_threads": _blas_threads()},
+                     "out": str(out_dir), "blas_threads": _blas_threads()},
                     {"total": time.perf_counter() - t0})
     last = history[-1]
     print(f"trained {tcfg.epochs} epochs; final total {last['total']:.4f}, "
@@ -202,8 +199,7 @@ def _cmd_eval(args) -> int:
     else:
         net = _net_from_args(args, Path(args.checkpoint))
         refine = args.refine
-    results = predict_split(scans, preds, net, refine=refine,
-                            refine_mode=args.refine_mode, workers=args.workers)
+    results = predict_split(scans, preds, net, refine=refine, workers=args.workers)
     stats = score_split(results)
     report = format_report(stats)
     print(report)
@@ -219,8 +215,8 @@ def _cmd_eval(args) -> int:
         _write_manifest(out_dir, "eval",
                         {"data": args.data, "source": args.source,
                          "checkpoint": args.checkpoint, "refine": refine,
-                         "refine_mode": args.refine_mode, "workers": args.workers,
-                         "blas_threads": _blas_threads(), "out": str(out_dir)},
+                         "workers": args.workers, "blas_threads": _blas_threads(),
+                         "out": str(out_dir)},
                         {"total": time.perf_counter() - t0})
     pq, mean_pq = panoptic_quality(stats)
     _, miou = mean_iou(stats)
@@ -233,6 +229,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
+    if not (args.tol > 0.0 and np.isfinite(args.tol)):
+        raise ConfigError(f"tolerance must be positive and finite, got {args.tol}")
     if args.net_config is not None:
         cfg = configio.net_config(configio.load_config(args.net_config))
     else:
@@ -263,8 +261,7 @@ def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
     net = _net_from_args(args, Path(args.checkpoint) if args.checkpoint else None)
     scans, preds = _load_split(Path(args.data))
-    times = bench_pipeline(net, scans, preds, repetitions=args.repetitions,
-                           refine_mode=args.refine_mode)
+    times = bench_pipeline(net, scans, preds, repetitions=args.repetitions)
     ms = times * 1e3
     points = np.array([len(s) for s in scans])
     moving = np.array([int(np.sum(p.moving)) for p in preds])
@@ -333,7 +330,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-instance", type=float, default=None)
     p.add_argument("--p-scan", type=float, default=None)
     p.add_argument("--clutter-source", choices=CLUTTER_SOURCES, default=None)
-    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_train)
 
@@ -344,7 +340,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--net-config", default=None)
     p.add_argument("--refine", action="store_true")
-    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
@@ -367,7 +362,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--net-config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--refine-mode", choices=REFINE_MODES, default="split")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
     return parser
@@ -387,8 +381,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        # unreadable or missing files are data errors, not crashes
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable, missing or non-UTF-8 files are data errors, not crashes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,9 @@ The keys, their types and their defaults all come from the config
 dataclasses; a tuple field is written "lo:hi".  Unknown keys are rejected
 so typos surface instead of silently keeping a default, and a float
 that is not finite (nan, inf) is rejected, from a file or a flag alike.
+Loading a file builds every section of it once, so a bad value is
+rejected even in a section the loading command does not use, and even
+where a flag would override it.
 configs/default.cfg in the repository lists every key.
 """
 
@@ -87,6 +90,12 @@ def load_config(path) -> dict[str, str]:
     unknown = sorted(set(mapping) - known_keys())
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
+    try:
+        for build in (net_config, scene_config, surrogate_config, train_config,
+                      augment_config):
+            build(mapping)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}")
     return mapping
 
 

@@ -1,15 +1,17 @@
 """End-to-end glue: run the classifier over backbone-selected points,
 refine, assemble panoptic output, and score whole splits.
 
-Three scoring modes cover the evaluation story:
-  - majority-true baseline: each backbone instance takes the majority
-    ground-truth class of its points (instances whose majority is static
-    dissolve).  This is the best a voting rule could do without the
-    classifier and is what refined results are compared against.
-  - unrefined classifier: per-instance majority vote over predicted
-    classes, grouping untouched.
-  - refined classifier: split mode, static-classified points dropped and
-    mixed instances separated.
+Three scoring modes cover the evaluation story, all through
+predict_panoptic:
+  - net=None, the majority-true baseline: each backbone instance takes
+    the majority ground-truth class of its points (instances whose
+    majority is static dissolve).  This is the best a voting rule could
+    do without the classifier and is what refined results are compared
+    against.
+  - (net, refine=False), the unrefined classifier: per-instance majority
+    vote over predicted classes, grouping untouched.
+  - (net, refine=True), the refined classifier: split mode,
+    static-classified points dropped and mixed instances separated.
 
 Per-scan work is independent; with workers > 1 scans are predicted in a
 fork pool, and the per-scan stats are merged in corpus order, so results
@@ -47,29 +49,19 @@ def pair_predictions(scans: list[RadarScan], preds: list[MovingPrediction]):
     return pairs
 
 
-def classify_selected(net: RadFinerNet, scan: RadarScan, pred: MovingPrediction):
-    """(predicted class codes, backbone ids, index_map) for the moving subset."""
+def predict_panoptic(net: RadFinerNet | None, scan: RadarScan,
+                     pred: MovingPrediction, refine: bool = True) -> PanopticPrediction:
+    """Panoptic labels of one scan.  The classifier labels the backbone's
+    selection, refined by split mode or, with refine=False, by one
+    majority vote per instance; net=None votes the ground-truth classes
+    instead, and refine does not apply."""
     coords, feats, index_map = select_moving(scan, pred)
-    if index_map.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), index_map
-    classes = net.predict(coords, feats)
-    return classes, pred.instance[index_map], index_map
-
-
-def predict_panoptic(net: RadFinerNet, scan: RadarScan, pred: MovingPrediction,
-                     refine: bool = True, refine_mode: str = "split") -> PanopticPrediction:
-    classes, ids, index_map = classify_selected(net, scan, pred)
-    mode = refine_mode if refine else "majority"
-    r_classes, r_ids = refine_instances(ids, classes, mode)
-    return assemble_panoptic(scan, pred, r_ids, r_classes, index_map)
-
-
-def majority_true_panoptic(scan: RadarScan, pred: MovingPrediction) -> PanopticPrediction:
-    """Score ceiling for the raw backbone output: ground-truth classes,
-    one majority vote per instance, static-majority instances dissolved."""
-    _, _, index_map = select_moving(scan, pred)
-    true_classes = scan.sem[index_map]
-    r_classes, r_ids = refine_instances(pred.instance[index_map], true_classes, "majority")
+    if net is None or index_map.size == 0:
+        # the baseline votes the true classes; an empty selection has nothing to classify
+        classes, mode = scan.sem[index_map], "majority"
+    else:
+        classes, mode = net.predict(coords, feats), "split" if refine else "majority"
+    r_classes, r_ids = refine_instances(pred.instance[index_map], classes, mode)
     return assemble_panoptic(scan, pred, r_ids, r_classes, index_map)
 
 
@@ -91,22 +83,20 @@ def _start_worker(ctx: tuple) -> None:
 
 
 def _panoptic(i: int, ctx: tuple = ()) -> PanopticPrediction:
-    pairs, net, refine, refine_mode = ctx or _worker_ctx
+    pairs, net, refine = ctx or _worker_ctx
     scan, pred = pairs[i]
-    if net is None:
-        return majority_true_panoptic(scan, pred)
-    return predict_panoptic(net, scan, pred, refine=refine, refine_mode=refine_mode)
+    return predict_panoptic(net, scan, pred, refine)
 
 
 def predict_split(scans: list[RadarScan], preds: list[MovingPrediction],
                   net: RadFinerNet | None = None, refine: bool = True,
-                  refine_mode: str = "split", workers: int = 1):
+                  workers: int = 1):
     """(scan, panoptic prediction) pairs in scan order.  net=None gives
     the majority-true baseline."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     pairs = pair_predictions(scans, preds)
-    ctx = (pairs, net, refine, refine_mode)
+    ctx = (pairs, net, refine)
     with blas.threads(blas.BLAS_THREADS):
         if workers > 1 and len(pairs) > 1:
             with get_context("fork").Pool(workers, _start_worker, (ctx,)) as pool:
@@ -126,18 +116,17 @@ def score_split(results) -> PanopticStats:
 
 def evaluate_split(scans: list[RadarScan], preds: list[MovingPrediction],
                    net: RadFinerNet | None = None, refine: bool = True,
-                   refine_mode: str = "split", workers: int = 1) -> PanopticStats:
+                   workers: int = 1) -> PanopticStats:
     """Accumulated stats over the split.  net=None scores the
     majority-true baseline."""
-    return score_split(predict_split(scans, preds, net, refine, refine_mode, workers))
+    return score_split(predict_split(scans, preds, net, refine, workers))
 
 
 # -- latency ------------------------------------------------------------------
 
 
 def bench_pipeline(net: RadFinerNet, scans: list[RadarScan],
-                   preds: list[MovingPrediction], repetitions: int = 1,
-                   refine_mode: str = "split") -> np.ndarray:
+                   preds: list[MovingPrediction], repetitions: int = 1) -> np.ndarray:
     """Per-scan `predict_panoptic` wall times in seconds.
 
     One untimed warmup pass runs first; samples are ordered scan-major,
@@ -147,14 +136,14 @@ def bench_pipeline(net: RadFinerNet, scans: list[RadarScan],
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     pairs = pair_predictions(scans, preds)
     for scan, pred in pairs[:min(len(pairs), 8)]:
-        predict_panoptic(net, scan, pred, refine_mode=refine_mode)
+        predict_panoptic(net, scan, pred)
 
     times = np.zeros(len(pairs) * repetitions)
     k = 0
     for scan, pred in pairs:
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            predict_panoptic(net, scan, pred, refine_mode=refine_mode)
+            predict_panoptic(net, scan, pred)
             times[k] = time.perf_counter() - t0
             k += 1
     return times

@@ -179,8 +179,7 @@ def _history_line(row: dict) -> str:
 def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
           acfg: AugmentConfig, out_dir=None,
           val_scans: list[RadarScan] | None = None,
-          val_preds: list[MovingPrediction] | None = None,
-          refine_mode: str = "split", log=None):
+          val_preds: list[MovingPrediction] | None = None, log=None):
     """Runs the schedule and returns (net, history rows).
 
     history rows carry the reported (hard-consistency) loss breakdown,
@@ -241,8 +240,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                                                  sums["consistency"] / denom)
             val_pq, val_miou = float("nan"), float("nan")
             if val_scans is not None:
-                stats = evaluate_split(val_scans, val_preds, net,
-                                       refine=True, refine_mode=refine_mode)
+                stats = evaluate_split(val_scans, val_preds, net, refine=True)
                 _, val_pq = panoptic_quality(stats)
                 _, val_miou = mean_iou(stats)
             row = {"epoch": epoch, "ce": breakdown.ce, "lovasz": breakdown.lovasz,

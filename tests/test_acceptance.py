@@ -256,8 +256,7 @@ def _desk_arm(train_scans, test_scans, test_preds, net_kwargs, aug_kwargs):
     tcfg = TrainConfig(epochs=40, batch_size=4, lr=0.001,
                        lr_drop_epoch=32, seed=0)
     net, _ = train(train_scans, net, tcfg, AugmentConfig(**aug_kwargs))
-    stats = evaluate_split(test_scans, test_preds, net=net, refine=True,
-                           refine_mode="split")
+    stats = evaluate_split(test_scans, test_preds, net=net, refine=True)
     return panoptic_quality(stats)[1]
 
 

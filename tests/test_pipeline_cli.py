@@ -16,9 +16,9 @@ from radfiner.configio import (augment_config, known_keys, load_config,
 from radfiner.errors import ConfigError, DataFormatError
 from radfiner.metrics import panoptic_quality
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
-from radfiner.pipeline import evaluate_split, pair_predictions
-from radfiner.scans import (SemanticClass, load_predictions, load_scans,
-                            select_moving)
+from radfiner.pipeline import evaluate_split, pair_predictions, predict_panoptic
+from radfiner.scans import (NUM_CLASSES, MovingPrediction, SemanticClass,
+                            load_predictions, load_scans, select_moving)
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
 from radfiner.training import AugmentConfig, TrainConfig
@@ -35,6 +35,12 @@ def small_split():
     preds = surrogate_corpus(scans, SurrogateConfig(
         eps_boundary=0.15, eps_clutter=0.2, eps_merge=0.2, eps_miss=0.05, seed=7))
     return scans, preds
+
+
+def test_every_export_resolves_once():
+    import radfiner
+    assert len(set(radfiner.__all__)) == len(radfiner.__all__)
+    assert [name for name in radfiner.__all__ if not hasattr(radfiner, name)] == []
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -66,6 +72,62 @@ def test_worker_counts_agree_with_network(small_split):
     b = evaluate_split(scans, preds, net=net, refine=True, workers=2)
     assert np.array_equal(a.tp_iou, b.tp_iou)
     assert np.array_equal(a.confusion, b.confusion)
+
+
+def _assert_instance_vote(pan, scan, pred, classes) -> bool:
+    """`pan` gives each backbone instance the majority of `classes` over
+    its points (ties to the lowest code), keeps the grouping, and leaves
+    unflagged points (static, 0).  Returns whether the vote changed a class."""
+    _, _, index_map = select_moving(scan, pred)
+    rest = np.ones(len(scan), dtype=bool)
+    rest[index_map] = False
+    assert not pan.sem[rest].any() and not pan.instance[rest].any()
+    ids, inst = pred.instance[index_map], pan.instance[index_map]
+    voted = classes.copy()
+    for iid in np.unique(ids[ids > 0]):
+        member = ids == iid
+        voted[member] = np.argmax(np.bincount(classes[member], minlength=NUM_CLASSES))
+    assert np.array_equal(pan.sem[index_map], voted)
+    thing = voted != SemanticClass.STATIC
+    assert np.array_equal(inst > 0, thing)
+    # one output id per (backbone id, class) group, and the other way round
+    groups = np.unique(np.stack([ids, voted])[:, thing], axis=1).shape[1]
+    assert groups == len(np.unique(inst[thing]))
+    assert groups == np.unique(np.stack([ids, voted, inst])[:, thing], axis=1).shape[1]
+    return not np.array_equal(voted, classes)
+
+
+def test_each_output_votes_per_instance_as_documented(small_split):
+    scans, preds = small_split
+    net = RadFinerNet(toy_config(head_norm="bn", seed=2))
+    true_changed = net_changed = False
+    for scan, pred in zip(scans, preds):
+        coords, feats, index_map = select_moving(scan, pred)
+        base = predict_panoptic(None, scan, pred, refine=True)
+        same = predict_panoptic(None, scan, pred, refine=False)
+        assert np.array_equal(base.sem, same.sem)
+        assert np.array_equal(base.instance, same.instance)
+        true_changed |= _assert_instance_vote(base, scan, pred, scan.sem[index_map])
+        voted = predict_panoptic(net, scan, pred, refine=False)
+        net_changed |= _assert_instance_vote(voted, scan, pred,
+                                             net.predict(coords, feats))
+    # the faulted split has mixed instances, so both votes had work to do
+    assert true_changed and net_changed
+
+
+def test_empty_selection_never_reaches_the_network(small_split, monkeypatch):
+    scan = small_split[0][0]
+    none = np.zeros(len(scan), dtype=np.int64)
+    pred = MovingPrediction(scan.scan_id, none.astype(bool), none)
+    net = RadFinerNet(toy_config())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("infer called on an empty selection")
+
+    monkeypatch.setattr(RadFinerNet, "infer", refuse)
+    for refine in (True, False):
+        pan = predict_panoptic(net, scan, pred, refine=refine)
+        assert not pan.sem.any() and not pan.instance.any()
 
 
 def test_pair_predictions_rejects_missing(small_split):
@@ -346,6 +408,43 @@ def test_non_finite_values_exit_two(tmp_path, capsys):
     assert "embed.lin1.bias holds a non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("train", "scene.near_sigma = nan\nsurrogate.eps_miss = inf\n"),
+    ("train", "train.lr = nan\n"),  # rejected though --lr overrides it
+    ("eval", "d1 = 8\nd2 = 16\nsurrogate.eps_miss = 2\n"),
+], ids=["train-unused-sections", "train-flag-overridden", "eval-net-config"])
+def test_bad_value_in_any_config_section_exits_two(tmp_path, capsys, command, text):
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    run = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--data", str(data), "--out", str(run), "--config", str(cfg),
+                "--epochs", "1", "--d1", "8", "--d2", "16", "--lr", "0.001", "--quiet"]
+    else:
+        argv = ["eval", "--data", str(data), "--net-config", str(cfg),
+                "--checkpoint", str(tmp_path / "never-read.ckpt")]
+    assert cli.main(argv) == 2
+    assert f"error: {cfg}: " in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("target", ["config", "scans", "predictions", "checkpoint"])
+def test_non_utf8_input_exits_two(tmp_path, capsys, target):
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
+    write_net_config(tmp_path / "net.cfg", toy_config())
+    RadFinerNet(toy_config()).save(tmp_path / "ckpt")
+    path = {"config": tmp_path / "net.cfg", "scans": data / "scans.txt",
+            "predictions": data / "surrogate.txt", "checkpoint": tmp_path / "ckpt"}[target]
+    head, tail = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head + b"\n\xff" + tail)
+    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+                     "--checkpoint", str(tmp_path / "ckpt")]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
 class _PoisonedAdamW(training.AdamW):
     """AdamW whose first step meets a non-finite gradient."""
 
@@ -357,10 +456,16 @@ class _PoisonedAdamW(training.AdamW):
 @pytest.mark.parametrize("argv, poison, code", [
     (["gradcheck", "--points", "-1"], False, 2),
     (["gradcheck", "--h", "0"], False, 2),
+    (["gradcheck", "--tol", "nan"], False, 2),
+    (["gradcheck", "--tol", "inf"], False, 2),
+    (["gradcheck", "--tol", "-1"], False, 2),
+    (["gradcheck", "--tol", "0"], False, 2),
     (["generate", "--out", "{tmp}/gen", "--count", "2", "--workers", "0"], False, 2),
     (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
       "--d1", "8", "--d2", "16", "--quiet"], True, 3),
-], ids=["gradcheck-points", "gradcheck-h", "generate-workers", "adamw-nan-grad"])
+], ids=["gradcheck-points", "gradcheck-h", "gradcheck-tol-nan", "gradcheck-tol-inf",
+        "gradcheck-tol-negative", "gradcheck-tol-zero", "generate-workers",
+        "adamw-nan-grad"])
 def test_failures_end_in_their_exit_code(tmp_path, monkeypatch, argv, poison, code):
     assert cli.main(["generate", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
     if poison:
