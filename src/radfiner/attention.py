@@ -23,6 +23,20 @@ softmax (they contribute exactly zero), "zeropad" is the ablation where
 padded slots enter as zero-valued Q/K/V and keep flowing through the
 attention MLP, ending up with nonzero weight.
 
+In training mode a call records one tape node, with parents x and the
+layer's 13 parameters, computed in numpy with an analytic backward.  It
+runs only over the (anchor, slot) pairs that enter the softmax, flattened
+anchor by anchor: under "mask" the valid pairs, under "zeropad" every
+pair, with the batch-norm statistics taken over the valid rows as before.
+The slot softmax and the weighted slot sum are segment reductions
+(`np.maximum.reduceat`, `np.add.reduceat`) over each anchor's contiguous
+run of pairs.  No run is empty, because slot 0, the anchor itself, is
+always valid.  The backward scatters the gathered rows' gradients to the
+points with one `np.bincount` per array, as `autodiff.gather_rows` does;
+the norms share `autodiff.bn_forward`/`bn_backward` with `BatchNorm`.
+Eval mode (training=False) composes tape primitives over the padded
+arrays: it is the reference that `infer` is tested against.
+
 The tape-free `RadiusAttention.infer` computes the per-point maps once
 per scan and then the per-(anchor, slot) rows in tiles of about
 `TILE_ROWS` rows, so each tile's temporaries stay in cache.  Rows do
@@ -88,6 +102,17 @@ class RadiusAttention(Module):
             raise ConfigError(
                 f"attention input {x.data.shape} does not match "
                 f"({nb.n_points}, {self.width})")
+        if training:
+            out, weights = self._train_node(x, nb, return_weights)
+        else:
+            out, weights = self._eval_chain(x, nb)
+        if return_weights:
+            return out, weights
+        return out
+
+    def _eval_chain(self, x: Tensor, nb: Neighborhood):
+        """Eval-mode forward from tape primitives over the padded slots;
+        returns (out, padded weights)."""
         masked = self.pad_mode == "mask"
         valid = nb.valid
 
@@ -101,20 +126,107 @@ class RadiusAttention(Module):
             # there (mask mode drops those rows at mlp_bn1 and the softmax)
             mask3 = valid[..., None].astype(np.float64)
             qk, vg = qk * mask3, vg * mask3
-        r_enc = self.pos(nb.rel_pos, valid, training, zero_invalid=masked)
+        r_enc = self.pos(nb.rel_pos, valid, False, zero_invalid=masked)
 
         a = qk + r_enc
-        a = self.mlp_bn1(a, valid=valid, training=training, zero_invalid=masked)
+        a = self.mlp_bn1(a, valid=valid, zero_invalid=masked)
         a = ad.matmul(ad.relu(a), self.mlp_w1)
-        a = self.mlp_bn2(a, valid=valid, training=training, zero_invalid=masked)
+        a = self.mlp_bn2(a, valid=valid, zero_invalid=masked)
         a = ad.matmul(ad.relu(a), self.mlp_w2)
 
         softmax_valid = valid[..., None] if masked else np.ones_like(valid[..., None])
         weights = ad.masked_softmax(a, softmax_valid, axis=1)
-        out = ad.reduce_sum(weights * (vg + r_enc), axis=1)
-        if return_weights:
-            return out, weights.data
-        return out
+        return ad.reduce_sum(weights * (vg + r_enc), axis=1), weights.data
+
+    def _train_node(self, x: Tensor, nb: Neighborhood, return_weights: bool):
+        """Training forward as one tape node over the selected pairs (see
+        the module docstring); returns (out, padded weights or None)."""
+        n, m = nb.indices.shape
+        pos, bn1, bn2 = self.pos, self.mlp_bn1, self.mlp_bn2
+        if n == 0:
+            raise ValueError(f"{pos.bn.name}: no valid rows to normalize")
+        if self.pad_mode == "mask":
+            counts = nb.valid.sum(axis=1)
+            stat = None  # every selected pair is valid
+            nbr, rel = nb.indices[nb.valid], nb.rel_pos[nb.valid]
+        else:
+            counts = np.full(n, m)
+            stat = nb.valid.reshape(-1)
+            nbr, rel = nb.indices.reshape(-1), nb.rel_pos.reshape(-1, 2)
+        # slot 0 is always valid, so every anchor's run is non-empty and
+        # the run starts are strictly increasing, as reduceat needs
+        starts = np.cumsum(counts) - counts
+        anchor = np.repeat(np.arange(n), counts)
+        eps = BatchNorm.eps
+
+        xd = x.data
+        wqk, wv = self.wq.data - self.wk.data, self.wv.data
+        qk, vg = (xd @ wqk)[nbr], (xd @ wv)[nbr]
+        if stat is not None:
+            # gathering pulls row 0 into padded slots; zeropad sees zeros there
+            keep = stat[:, None].astype(np.float64)
+            qk *= keep
+            vg *= keep
+        hp, mean0, var0, c0 = ad.bn_forward(rel @ pos.w1.data, pos.bn.gamma.data,
+                                            pos.bn.beta.data, stat, False, eps)
+        rp = np.maximum(hp, 0.0)
+        r = rp @ pos.w2.data
+        a1, mean1, var1, c1 = ad.bn_forward(qk + r, bn1.gamma.data, bn1.beta.data,
+                                            stat, False, eps)
+        h1 = np.maximum(a1, 0.0)
+        a2, mean2, var2, c2 = ad.bn_forward(h1 @ self.mlp_w1.data, bn2.gamma.data,
+                                            bn2.beta.data, stat, False, eps)
+        h2 = np.maximum(a2, 0.0)
+        logits = h2 @ self.mlp_w2.data
+        # channel-wise softmax over each anchor's run of pairs
+        e = np.exp(logits - np.maximum.reduceat(logits, starts)[anchor])
+        w = e / np.add.reduceat(e, starts)[anchor]
+        vr = vg + r
+        summed = np.add.reduceat(w * vr, starts)
+        for bn, mean, var in ((pos.bn, mean0, var0), (bn1, mean1, var1),
+                              (bn2, mean2, var2)):
+            bn.track(mean, var)
+
+        params = (self.wq, self.wk, self.wv, pos.w1, pos.bn.gamma, pos.bn.beta,
+                  pos.w2, self.mlp_w1, bn1.gamma, bn1.beta, self.mlp_w2,
+                  bn2.gamma, bn2.beta)
+
+        def backward(g):
+            gp = g[anchor]
+            dvr = w * gp
+            # softmax backward in the form of autodiff.masked_softmax
+            dw = gp * vr
+            dlogits = w * (dw - np.add.reduceat(dw * w, starts)[anchor])
+            d_w2 = h2.T @ dlogits
+            da2, dgamma2, dbeta2 = ad.bn_backward(
+                (dlogits @ self.mlp_w2.data.T) * (h2 > 0.0), c2)
+            d_w1 = h1.T @ da2
+            da1, dgamma1, dbeta1 = ad.bn_backward(
+                (da2 @ self.mlp_w1.data.T) * (h1 > 0.0), c1)
+            dr = da1 + dvr
+            d_pos_w2 = rp.T @ dr
+            dhp, dgamma0, dbeta0 = ad.bn_backward((dr @ pos.w2.data.T) * (rp > 0.0), c0)
+            dqk, dvg = (da1, dvr) if stat is None else (da1 * keep, dvr * keep)
+            # scatter to the points: bincount adds in index order, as gather_rows
+            keys = (nbr[:, None] * self.width + np.arange(self.width)).reshape(-1)
+            gqk, gv = (np.bincount(keys, weights=d.reshape(-1), minlength=n * self.width)
+                       .reshape(n, self.width) for d in (dqk, dvg))
+            d_wq = xd.T @ gqk
+            grads = (d_wq, -d_wq, xd.T @ gv, rel.T @ dhp, dgamma0, dbeta0, d_pos_w2,
+                     d_w1, dgamma1, dbeta1, d_w2, dgamma2, dbeta2)
+            for p, grad in zip(params, grads):
+                p.accumulate_grad(grad)
+            if x.requires_grad:
+                x.accumulate_grad(gqk @ wqk.T + gv @ wv.T)
+
+        out = ad._record(Tensor(summed), (x, *params), backward)
+        if not return_weights:
+            return out, None
+        if stat is None:
+            padded = np.zeros((n * m, self.width))
+            padded[nb.valid.reshape(-1)] = w
+            return out, padded.reshape(n, m, self.width)
+        return out, w.reshape(n, m, self.width)
 
     def infer(self, x: np.ndarray, nb: Neighborhood) -> np.ndarray:
         """Eval-mode attention in single precision without the tape.

@@ -256,7 +256,9 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
     neg = np.where(mask, x, -np.inf)
     shift = np.max(neg, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)  # all-invalid slice
-    ex = np.exp(x - shift) * mask
+    # exp(-inf) is exactly 0: an invalid logit is never exponentiated,
+    # so one far above the valid ones cannot overflow into inf * 0
+    ex = np.exp(neg - shift)
     denom = ex.sum(axis=axis, keepdims=True)
     safe = np.where(denom > 0.0, denom, 1.0)
     s = ex / safe
@@ -273,58 +275,80 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
 # normalization
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray | None,
-               zero_invalid: bool, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Training-mode batch norm over every leading axis, as one node.
+def bn_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               mask: np.ndarray | None, zero_invalid: bool, eps: float):
+    """Numpy forward of training-mode batch norm over every leading axis.
 
-    Returns ``(out, mean, var)``: the normalized tensor and the biased
-    batch mean and variance, kept-dims shaped (1, ..., 1, D).  `mask`
-    (shape x.shape[:-1], at least one true row) restricts the statistics
-    to the rows it marks; with ``zero_invalid`` the output of the other
-    rows is 0 and they receive no gradient, otherwise the batch affine
-    acts on them too.  The backward is the standard analytic one
-    (Ioffe & Szegedy, arXiv 1502.03167) over the valid rows, with
-    s = mask under ``zero_invalid`` and 1 otherwise:
-    dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count, where
-    dxhat = g * s * gamma, dmean = -inv * sum(dxhat) and
-    dvar = -inv**3 / 2 * sum(dxhat * u).
+    Returns ``(out, mean, var, cache)``: the normalized array, the biased
+    batch mean and variance, kept-dims shaped (1, ..., 1, D), and what
+    `bn_backward` needs.  `mask` (shape x.shape[:-1], at least one true
+    row) restricts the statistics to the rows it marks; with
+    ``zero_invalid`` the output of the other rows is 0 and they receive
+    no gradient, otherwise the batch affine acts on them too.
     """
-    xd = x.data
-    axes = tuple(range(xd.ndim - 1))
+    axes = tuple(range(x.ndim - 1))
     if mask is None:
         m = None
-        count = math.prod(xd.shape[:-1])
-        mean = xd.sum(axis=axes, keepdims=True) * (1.0 / count)
-        u = cu = xd - mean
+        count = math.prod(x.shape[:-1])
+        mean = x.sum(axis=axes, keepdims=True) * (1.0 / count)
+        u = cu = x - mean
     else:
         m = mask[..., None].astype(np.float64)
         count = int(mask.sum())
-        mean = (xd * m).sum(axis=axes, keepdims=True) * (1.0 / count)
-        u = xd - mean
+        mean = (x * m).sum(axis=axes, keepdims=True) * (1.0 / count)
+        u = x - mean
         cu = u * m
     var = (cu * cu).sum(axis=axes, keepdims=True) * (1.0 / count)
     inv = (var + eps) ** -0.5
     xhat = (cu if zero_invalid else u) * inv
-    g_data = gamma.data
-    out = xhat * g_data + beta.data
+    out = xhat * gamma + beta
     s = m if zero_invalid else None
     if s is not None:
         out = out * s
+    return out, mean, var, (u, xhat, inv, m, s, count, gamma)
+
+
+def bn_backward(g: np.ndarray, cache, need_dx: bool = True):
+    """``(dx, dgamma, dbeta)`` of `bn_forward` for the output gradient g.
+
+    The standard analytic backward (Ioffe & Szegedy, arXiv 1502.03167)
+    over the valid rows, with s = mask under ``zero_invalid`` and 1
+    otherwise: dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count,
+    where dxhat = g * s * gamma, dmean = -inv * sum(dxhat) and
+    dvar = -inv**3 / 2 * sum(dxhat * u).  dx is None unless `need_dx`.
+    """
+    u, xhat, inv, m, s, count, gamma = cache
+    axes = tuple(range(g.ndim - 1))
+    gs = g if s is None else g * s
+    dgamma = (gs * xhat).sum(axis=axes)
+    dbeta = gs.sum(axis=axes)
+    if not need_dx:
+        return None, dgamma, dbeta
+    dxhat = gs * gamma
+    dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
+    dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
+    shift = dmean + 2.0 * dvar * u
+    if m is not None:
+        shift = shift * m
+    return inv * dxhat + shift * (1.0 / count), dgamma, dbeta
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray | None,
+               zero_invalid: bool, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch norm over every leading axis, as one node with
+    parents (x, gamma, beta); `bn_forward` and `bn_backward` do the math.
+    Returns ``(out, mean, var)``."""
+    out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, mask,
+                                       zero_invalid, eps)
 
     def backward(g):
-        gs = g if s is None else g * s
+        dx, dgamma, dbeta = bn_backward(g, cache, need_dx=x.requires_grad)
         if gamma.requires_grad:
-            gamma.accumulate_grad((gs * xhat).sum(axis=axes))
+            gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
-            beta.accumulate_grad(gs.sum(axis=axes))
-        if x.requires_grad:
-            dxhat = gs * g_data
-            dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
-            dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
-            shift = dmean + 2.0 * dvar * u
-            if m is not None:
-                shift = shift * m
-            x.accumulate_grad(inv * dxhat + shift * (1.0 / count))
+            beta.accumulate_grad(dbeta)
+        if dx is not None:
+            x.accumulate_grad(dx)
 
     return _record(Tensor(out), (x, gamma, beta), backward), mean, var
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 
 CKPT_HEADER = "#radfiner-ckpt v1"
 
@@ -35,8 +35,7 @@ def save_entries(path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_entries(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CKPT_HEADER:
         raise DataFormatError(f"{path}: expected header {CKPT_HEADER!r}")
     entries: dict[str, np.ndarray] = {}

@@ -381,8 +381,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        # unreadable, missing or non-UTF-8 files are data errors, not crashes
+    except OSError as exc:
+        # unreadable or missing files are data errors, not crashes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

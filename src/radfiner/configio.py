@@ -20,7 +20,7 @@ import math
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, read_text
 from .network import NetworkConfig
 from .scans import CLASS_NAMES
 from .synthdata import SceneConfig, SurrogateConfig, default_profiles
@@ -83,7 +83,7 @@ def parse_config(text: str, where: str = "<config>") -> dict[str, str]:
 def load_config(path) -> dict[str, str]:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_text(path)
     except OSError as exc:
         raise DataFormatError(f"cannot read config {path}: {exc}")
     mapping = parse_config(text, str(path))

@@ -1,8 +1,12 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: bad flags exit 1 (argparse level),
-DataError and subclasses exit 2, NumericsError exits 3.
+DataError and subclasses exit 2, NumericsError exits 3.  `read_text`
+is how every input file is read, so that a byte which is not UTF-8 is
+a DataFormatError naming the file.
 """
+
+from pathlib import Path
 
 
 class DataError(Exception):
@@ -23,3 +27,11 @@ class ConfigError(DataError):
 
 class NumericsError(FloatingPointError):
     """Non-finite values or divergence in numerical code."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of `path`; an undecodable byte is a DataFormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

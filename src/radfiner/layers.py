@@ -13,7 +13,11 @@ statistics can be restricted to valid rows via a boolean mask; padded
 rows are always excluded from the statistics and, by default, zeroed in
 the output so downstream masked reductions stay exact.  In training
 mode a BatchNorm call is one tape node with the analytic backward;
-eval mode composes tape primitives from the running statistics.
+eval mode composes tape primitives from the running statistics.  The
+training math lives once, in `autodiff.bn_forward` and
+`autodiff.bn_backward`: the BatchNorm node and the fused training node
+of `attention.RadiusAttention` both call them, and both fold the batch
+statistics into the running estimates through `BatchNorm.track`.
 """
 
 from __future__ import annotations
@@ -121,10 +125,7 @@ class BatchNorm(Module):
         if training:
             out, mean, var = ad.batch_norm(x, self.gamma, self.beta, mask,
                                            zero_invalid, self.eps)
-            if self.track_stats:
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mean.reshape(-1)
-                self.running_var = (1.0 - m) * self.running_var + m * var.reshape(-1)
+            self.track(mean, var)
             return out
 
         inv_np = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -132,6 +133,14 @@ class BatchNorm(Module):
         if mask is not None and zero_invalid:
             out = out * mask[..., None].astype(np.float64)
         return out
+
+    def track(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one training batch's statistics into the running estimates
+        (unless `track_stats` is off)."""
+        if self.track_stats:
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean.reshape(-1)
+            self.running_var = (1.0 - m) * self.running_var + m * var.reshape(-1)
 
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode folded to one affine map: y = x * scale + shift."""

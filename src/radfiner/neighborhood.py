@@ -78,16 +78,23 @@ def ball_query(points, radius: float, n_max: int) -> Neighborhood:
     key = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
                                   pairs[:, 1] * n + pairs[:, 0]]))
     anchor, other = np.divmod(key, n)
+    # each large temporary is released as soon as it is used up, so the
+    # allocator can reuse its pages for the next one instead of faulting
+    # in fresh ones
+    del pairs, key
     d2 = _d2(points.take(anchor, axis=0) - points.take(other, axis=0))
     inside = d2 <= radius * radius
     anchor, other, d2 = anchor[inside], other[inside], d2[inside]
+    del inside
 
     # one padded row per anchor; the stable sort keeps index order on ties
     counts = np.bincount(anchor, minlength=n)
     starts = np.cumsum(counts) - counts
     dist = np.full((n, max(int(counts.max(initial=0)), n_max - 1)), np.inf)
     dist[anchor, np.arange(len(anchor)) - starts[anchor]] = d2
-    near = np.argsort(dist, axis=1, kind="stable")[:, :n_max - 1]
+    del anchor, d2
+    near = np.argsort(dist, axis=1, kind="stable")[:, :n_max - 1].copy()
+    del dist
     found = near < counts[:, None]
     indices[:, 1:][found] = other[(starts[:, None] + near)[found]]
     valid[:, 1:] = found

@@ -27,7 +27,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_text
 
 SCANS_HEADER = "#radfiner-scans v1"
 PRED_HEADER = "#radfiner-pred v1"
@@ -206,8 +206,7 @@ def save_scans(scans: list[RadarScan], path) -> None:
 
 class _LineReader:
     def __init__(self, path):
-        with open(path) as fh:
-            self.lines = fh.read().splitlines()
+        self.lines = read_text(path).splitlines()
         self.pos = 0
         self.path = str(path)
 

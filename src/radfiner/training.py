@@ -176,6 +176,16 @@ def _history_line(row: dict) -> str:
     return ",".join(cells)
 
 
+@contextlib.contextmanager
+def _position(epoch: int, batch: int):
+    """A NumericsError raised inside (a non-finite loss or gradient) names
+    the epoch and batch it happened in."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise NumericsError(f"{exc} (epoch {epoch}, batch {batch})") from exc
+
+
 def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
           acfg: AugmentConfig, out_dir=None,
           val_scans: list[RadarScan] | None = None,
@@ -220,12 +230,9 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                     nb = ball_query(sample.coords, net.config.radius, net.config.n_max)
                     logits = net.forward(sample.coords, sample.features,
                                          training=True, nb=nb)
-                    try:
+                    with _position(epoch, b0 // tcfg.batch_size):
                         total, parts = total_loss(logits, sample.targets,
                                                   sample.instance_ids)
-                    except NumericsError as exc:
-                        raise NumericsError(
-                            f"{exc} (epoch {epoch}, batch {b0 // tcfg.batch_size})")
                     ad.backward(total * (1.0 / len(batch)))
                     hard = consistency_hard(np.argmax(logits.data, axis=1),
                                             sample.instance_ids)
@@ -233,7 +240,8 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                     sums["lovasz"] += parts["lovasz"]
                     sums["consistency"] += hard
                     n_used += 1
-                opt.step()
+                with _position(epoch, b0 // tcfg.batch_size):
+                    opt.step()
             denom = max(n_used, 1)
             breakdown = LossBreakdown.from_parts(sums["ce"] / denom,
                                                  sums["lovasz"] / denom,

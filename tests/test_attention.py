@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radfiner import autodiff as ad
 from radfiner.attention import PositionalEncoder, RadiusAttention
@@ -101,6 +103,27 @@ def test_matches_loop_reference(pad_mode, seed):
     assert np.allclose(out.data, ref_out, atol=1e-9)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 10), n_max=st.integers(1, 6),
+       d=st.integers(1, 5), radius=st.sampled_from([0.01, 1.0, 3.0, 100.0]),
+       pad_mode=st.sampled_from(["mask", "zeropad"]))
+@example(seed=0, n=1, n_max=3, d=2, radius=1.0, pad_mode="mask")
+@example(seed=1, n=6, n_max=1, d=3, radius=3.0, pad_mode="zeropad")
+@example(seed=2, n=5, n_max=4, d=3, radius=0.01, pad_mode="zeropad")  # isolated
+@example(seed=3, n=8, n_max=5, d=4, radius=100.0, pad_mode="mask")    # full rows
+def test_training_forward_matches_loop_reference_property(seed, n, n_max, d, radius,
+                                                          pad_mode):
+    x, nb, layer = _random_setup(seed, n=n, d=d, radius=radius, n_max=n_max,
+                                 pad_mode=pad_mode)
+    out, weights = layer(Tensor(x), nb, training=True, return_weights=True)
+    ref_out, ref_w = _loop_attention(x, nb, layer, pad_mode)
+    assert weights.shape == (n, n_max, d)
+    assert np.allclose(weights, ref_w, atol=1e-9)
+    assert np.allclose(out.data, ref_out, atol=1e-9)
+    if pad_mode == "mask":
+        assert np.all(weights[~nb.valid] == 0.0)
+
+
 def test_weights_sum_to_one_over_valid_slots():
     x, nb, layer = _random_setup(11)
     _, weights = layer(Tensor(x), nb, training=True, return_weights=True)
@@ -156,9 +179,10 @@ def test_positional_encoder_zeroes_padded_slots():
     assert np.any(out[valid] != 0.0)
 
 
-def test_attention_gradients():
+@pytest.mark.parametrize("pad_mode", ["mask", "zeropad"])
+def test_attention_gradients(pad_mode):
     # every parameter of one block at D=8 over 12 points
-    x, nb, layer = _random_setup(14, n=12, d=8, n_max=4)
+    x, nb, layer = _random_setup(14, n=12, d=8, n_max=4, pad_mode=pad_mode)
     xt = Param("x", x)
     for bn in layer.bn_layers():
         bn.track_stats = False

@@ -125,6 +125,16 @@ def test_masked_softmax_shift_invariance():
     assert np.all(np.isfinite(b))
 
 
+def test_masked_softmax_never_exponentiates_a_masked_logit():
+    # exp(800) overflows; times a zero mask it would give nan, not 0
+    a = ad.Tensor([[0.0, 800.0]], requires_grad=True)
+    with np.errstate(over="raise", invalid="raise"):
+        s = ad.masked_softmax(a, np.array([[True, False]]), axis=1)
+    assert s.data.tolist() == [[1.0, 0.0]]
+    ad.backward(ad.reduce_sum(s))
+    assert np.all(np.isfinite(a.grad))
+
+
 def test_masked_softmax_gradient():
     r = _rng()
     x = r.normal(size=(3, 5))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from radfiner import autodiff as ad
+from radfiner.attention import PAD_MODES, RadiusAttention
 from radfiner.autodiff import Param, Tensor
 from radfiner.gradcheck import gradient_check
 from radfiner.layers import BatchNorm, Linear
+from radfiner.neighborhood import ball_query
 from radfiner.optim import AdamW
 
 
@@ -119,6 +121,19 @@ def test_batchnorm_training_call_is_one_tape_node():
     assert out.requires_grad and out._backward is not None
     assert len(out._parents) == 3
     assert all(a is b for a, b in zip(out._parents, (x, bn.gamma, bn.beta)))
+    assert all(p._backward is None for p in out._parents)
+
+
+@pytest.mark.parametrize("pad_mode", PAD_MODES)
+def test_attention_training_call_is_one_tape_node(pad_mode):
+    r = np.random.default_rng(7)
+    nb = ball_query(r.uniform(-3, 3, size=(9, 2)), 2.0, 4)
+    layer = RadiusAttention("attn", 5, r, pad_mode)
+    x = Param("x", r.normal(size=(9, 5)))
+    out = layer(x, nb, training=True)
+    assert out.requires_grad and out._backward is not None
+    assert len(out._parents) == 14
+    assert all(a is b for a, b in zip(out._parents, (x, *layer.params())))
     assert all(p._backward is None for p in out._parents)
 
 

@@ -33,6 +33,28 @@ def test_hand_derived_rows(query):
     assert np.all(nb.rel_pos[~nb.valid] == 0.0)
 
 
+def test_fuzzed_inputs_match_brute_force():
+    # integer grids with duplicated points make exact distance ties and
+    # points on the inclusive radius; sizes span 0-300 points, caps 1-29
+    rng = np.random.default_rng(31)
+    cases = [(0, 5), (1, 1), (300, 29), (300, 1)]
+    cases += [(int(rng.integers(0, 301)), int(rng.integers(1, 30))) for _ in range(40)]
+    for n, n_max in cases:
+        span = int(rng.integers(1, 12))
+        pts = rng.integers(-span, span + 1, size=(n, 2)).astype(np.float64)
+        if n > 1:
+            dup = rng.integers(0, n, size=n // 4)
+            pts[rng.integers(0, n, size=dup.size)] = pts[dup]
+        if rng.random() < 0.5:
+            pts *= 0.5  # half-steps: still exact in binary
+        radius = float(rng.choice([0.5, 1.0, 2.0, 2.5, 5.0]))
+        fast = ball_query(pts, radius, n_max)
+        slow = ball_query_bruteforce(pts, radius, n_max)
+        assert np.array_equal(fast.indices, slow.indices), (n, n_max, radius)
+        assert np.array_equal(fast.valid, slow.valid), (n, n_max, radius)
+        assert np.array_equal(fast.rel_pos, slow.rel_pos), (n, n_max, radius)
+
+
 def test_cap_one_keeps_only_anchor():
     nb = ball_query(POINTS, radius=2.0, n_max=1)
     assert nb.indices.shape == (7, 1)

@@ -442,7 +442,7 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, target):
     path.write_bytes(head + b"\n\xff" + tail)
     assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
                      "--checkpoint", str(tmp_path / "ckpt")]) == 2
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
 class _PoisonedAdamW(training.AdamW):

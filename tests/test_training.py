@@ -201,6 +201,21 @@ def test_divergence_guard_reports_position():
         train(scans, net, tcfg, AugmentConfig())
 
 
+def test_nonfinite_gradient_reports_position(monkeypatch):
+    class PoisonedAdamW(training.AdamW):
+        def step(self):
+            if self.t == 2:
+                self.params[0].grad = np.full_like(self.params[0].data, np.inf)
+            super().step()
+
+    monkeypatch.setattr(training, "AdamW", PoisonedAdamW)
+    scans, net = _tiny_setup()
+    # two scans, one per batch: the third step is epoch 2, batch 0
+    tcfg = TrainConfig(epochs=2, batch_size=1, lr=0.001, lr_drop_epoch=1, seed=0)
+    with pytest.raises(NumericsError, match=r"non-finite gradient .*\(epoch 2, batch 0\)"):
+        train(scans, net, tcfg, AugmentConfig())
+
+
 def test_checkpoints_and_history_written(tmp_path):
     scans, net = _tiny_setup()
     tcfg = TrainConfig(epochs=2, batch_size=2, lr=0.001, lr_drop_epoch=1, seed=0)
