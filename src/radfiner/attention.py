@@ -23,19 +23,21 @@ softmax (they contribute exactly zero), "zeropad" is the ablation where
 padded slots enter as zero-valued Q/K/V and keep flowing through the
 attention MLP, ending up with nonzero weight.
 
-In training mode a call records one tape node, with parents x and the
-layer's 13 parameters, computed in numpy with an analytic backward.  It
-runs only over the (anchor, slot) pairs that enter the softmax, flattened
-anchor by anchor: under "mask" the valid pairs, under "zeropad" every
-pair, with the batch-norm statistics taken over the valid rows as before.
-The slot softmax and the weighted slot sum are segment reductions
-(`np.maximum.reduceat`, `np.add.reduceat`) over each anchor's contiguous
-run of pairs.  No run is empty, because slot 0, the anchor itself, is
-always valid.  The backward scatters the gathered rows' gradients to the
-points with one `np.bincount` per array, as `autodiff.gather_rows` does;
-the norms share `autodiff.bn_forward`/`bn_backward` with `BatchNorm`.
-Eval mode (training=False) composes tape primitives over the padded
-arrays: it is the reference that `infer` is tested against.
+Both modes run one float64 numpy forward over only the (anchor, slot)
+pairs that enter the softmax, flattened anchor by anchor: under "mask"
+the valid pairs, under "zeropad" every pair.  The slot softmax and the
+weighted slot sum are segment reductions (`np.maximum.reduceat`,
+`np.add.reduceat`) over each anchor's contiguous run of pairs.  No run
+is empty, because slot 0, the anchor itself, is always valid.  The modes
+differ only in the norms.  In training mode they use the batch
+statistics, taken over the valid rows, through
+`autodiff.bn_forward`/`bn_backward` (shared with `BatchNorm`), and the
+call records one tape node, with parents x and the layer's 13
+parameters and an analytic backward; the backward scatters the gathered
+rows' gradients to the points with one `np.bincount` per array.  In eval
+mode (training=False) each norm is the affine map of its running
+statistics, and the call returns a constant that nothing differentiates:
+it is the reference that `infer` is tested against.
 
 The tape-free `RadiusAttention.infer` computes the per-point maps once
 per scan and then the per-(anchor, slot) rows in tiles of about
@@ -66,18 +68,13 @@ TILE_ROWS = 768
 
 
 class PositionalEncoder(Module):
-    """rel_pos (N, M, 2) -> (N, M, D): relu(bn(p @ W1)) @ W2, no biases."""
+    """W1, bn and W2 of R = relu(bn(rel_pos @ W1)) @ W2 (no biases), which
+    `RadiusAttention` computes in its pair forward."""
 
     def __init__(self, name: str, d_out: int, rng: np.random.Generator):
         self.w1 = Param(f"{name}.w1", glorot(rng, 2, 2))
         self.bn = BatchNorm(f"{name}.bn", 2)
         self.w2 = Param(f"{name}.w2", glorot(rng, 2, d_out))
-
-    def __call__(self, rel_pos: np.ndarray, valid: np.ndarray,
-                 training: bool, zero_invalid: bool = True) -> Tensor:
-        h = ad.matmul(Tensor(rel_pos), self.w1)
-        h = self.bn(h, valid=valid, training=training, zero_invalid=zero_invalid)
-        return ad.matmul(ad.relu(h), self.w2)
 
 
 class RadiusAttention(Module):
@@ -102,49 +99,18 @@ class RadiusAttention(Module):
             raise ConfigError(
                 f"attention input {x.data.shape} does not match "
                 f"({nb.n_points}, {self.width})")
-        if training:
-            out, weights = self._train_node(x, nb, return_weights)
-        else:
-            out, weights = self._eval_chain(x, nb)
+        out, weights = self._pairs(x, nb, training, return_weights)
         if return_weights:
             return out, weights
         return out
 
-    def _eval_chain(self, x: Tensor, nb: Neighborhood):
-        """Eval-mode forward from tape primitives over the padded slots;
-        returns (out, padded weights)."""
-        masked = self.pad_mode == "mask"
-        valid = nb.valid
-
-        q = ad.matmul(x, self.wq)
-        k = ad.matmul(x, self.wk)
-        v = ad.matmul(x, self.wv)
-        qk = ad.gather_rows(q - k, nb.indices)
-        vg = ad.gather_rows(v, nb.indices)
-        if not masked:
-            # gathering pulls row 0 into padded slots; zeropad sees zeros
-            # there (mask mode drops those rows at mlp_bn1 and the softmax)
-            mask3 = valid[..., None].astype(np.float64)
-            qk, vg = qk * mask3, vg * mask3
-        r_enc = self.pos(nb.rel_pos, valid, False, zero_invalid=masked)
-
-        a = qk + r_enc
-        a = self.mlp_bn1(a, valid=valid, zero_invalid=masked)
-        a = ad.matmul(ad.relu(a), self.mlp_w1)
-        a = self.mlp_bn2(a, valid=valid, zero_invalid=masked)
-        a = ad.matmul(ad.relu(a), self.mlp_w2)
-
-        softmax_valid = valid[..., None] if masked else np.ones_like(valid[..., None])
-        weights = ad.masked_softmax(a, softmax_valid, axis=1)
-        return ad.reduce_sum(weights * (vg + r_enc), axis=1), weights.data
-
-    def _train_node(self, x: Tensor, nb: Neighborhood, return_weights: bool):
-        """Training forward as one tape node over the selected pairs (see
-        the module docstring); returns (out, padded weights or None)."""
+    def _pairs(self, x: Tensor, nb: Neighborhood, training: bool,
+               return_weights: bool):
+        """Forward over the selected pairs (see the module docstring);
+        returns (out, padded weights or None).  Training records one tape
+        node; eval returns a constant."""
         n, m = nb.indices.shape
         pos, bn1, bn2 = self.pos, self.mlp_bn1, self.mlp_bn2
-        if n == 0:
-            raise ValueError(f"{pos.bn.name}: no valid rows to normalize")
         if self.pad_mode == "mask":
             counts = nb.valid.sum(axis=1)
             stat = None  # every selected pair is valid
@@ -157,7 +123,17 @@ class RadiusAttention(Module):
         # the run starts are strictly increasing, as reduceat needs
         starts = np.cumsum(counts) - counts
         anchor = np.repeat(np.arange(n), counts)
-        eps = BatchNorm.eps
+        caches = []
+
+        def norm(h, bn):
+            if not training:
+                scale, shift = bn.eval_affine()
+                return h * scale + shift
+            out, mean, var, cache = ad.bn_forward(h, bn.gamma.data, bn.beta.data,
+                                                  stat, BatchNorm.eps)
+            bn.track(mean, var)
+            caches.append(cache)
+            return out
 
         xd = x.data
         wqk, wv = self.wq.data - self.wk.data, self.wv.data
@@ -167,26 +143,27 @@ class RadiusAttention(Module):
             keep = stat[:, None].astype(np.float64)
             qk *= keep
             vg *= keep
-        hp, mean0, var0, c0 = ad.bn_forward(rel @ pos.w1.data, pos.bn.gamma.data,
-                                            pos.bn.beta.data, stat, False, eps)
-        rp = np.maximum(hp, 0.0)
+        rp = np.maximum(norm(rel @ pos.w1.data, pos.bn), 0.0)
         r = rp @ pos.w2.data
-        a1, mean1, var1, c1 = ad.bn_forward(qk + r, bn1.gamma.data, bn1.beta.data,
-                                            stat, False, eps)
-        h1 = np.maximum(a1, 0.0)
-        a2, mean2, var2, c2 = ad.bn_forward(h1 @ self.mlp_w1.data, bn2.gamma.data,
-                                            bn2.beta.data, stat, False, eps)
-        h2 = np.maximum(a2, 0.0)
+        h1 = np.maximum(norm(qk + r, bn1), 0.0)
+        h2 = np.maximum(norm(h1 @ self.mlp_w1.data, bn2), 0.0)
         logits = h2 @ self.mlp_w2.data
         # channel-wise softmax over each anchor's run of pairs
         e = np.exp(logits - np.maximum.reduceat(logits, starts)[anchor])
         w = e / np.add.reduceat(e, starts)[anchor]
         vr = vg + r
         summed = np.add.reduceat(w * vr, starts)
-        for bn, mean, var in ((pos.bn, mean0, var0), (bn1, mean1, var1),
-                              (bn2, mean2, var2)):
-            bn.track(mean, var)
+        weights = None
+        if return_weights:
+            weights = w
+            if stat is None:  # exact zeros at the padded slots
+                weights = np.zeros((n * m, self.width))
+                weights[nb.valid.reshape(-1)] = w
+            weights = weights.reshape(n, m, self.width)
+        if not training:
+            return Tensor(summed), weights
 
+        c0, c1, c2 = caches
         params = (self.wq, self.wk, self.wv, pos.w1, pos.bn.gamma, pos.bn.beta,
                   pos.w2, self.mlp_w1, bn1.gamma, bn1.beta, self.mlp_w2,
                   bn2.gamma, bn2.beta)
@@ -194,7 +171,7 @@ class RadiusAttention(Module):
         def backward(g):
             gp = g[anchor]
             dvr = w * gp
-            # softmax backward in the form of autodiff.masked_softmax
+            # softmax backward in the form of autodiff.softmax
             dw = gp * vr
             dlogits = w * (dw - np.add.reduceat(dw * w, starts)[anchor])
             d_w2 = h2.T @ dlogits
@@ -207,7 +184,8 @@ class RadiusAttention(Module):
             d_pos_w2 = rp.T @ dr
             dhp, dgamma0, dbeta0 = ad.bn_backward((dr @ pos.w2.data.T) * (rp > 0.0), c0)
             dqk, dvg = (da1, dvr) if stat is None else (da1 * keep, dvr * keep)
-            # scatter to the points: bincount adds in index order, as gather_rows
+            # scatter to the points: bincount adds into each point in pair
+            # order, so the sum is bitwise that of np.add.at
             keys = (nbr[:, None] * self.width + np.arange(self.width)).reshape(-1)
             gqk, gv = (np.bincount(keys, weights=d.reshape(-1), minlength=n * self.width)
                        .reshape(n, self.width) for d in (dqk, dvg))
@@ -219,14 +197,7 @@ class RadiusAttention(Module):
             if x.requires_grad:
                 x.accumulate_grad(gqk @ wqk.T + gv @ wv.T)
 
-        out = ad._record(Tensor(summed), (x, *params), backward)
-        if not return_weights:
-            return out, None
-        if stat is None:
-            padded = np.zeros((n * m, self.width))
-            padded[nb.valid.reshape(-1)] = w
-            return out, padded.reshape(n, m, self.width)
-        return out, w.reshape(n, m, self.width)
+        return ad._record(Tensor(summed), (x, *params), backward), weights
 
     def infer(self, x: np.ndarray, nb: Neighborhood) -> np.ndarray:
         """Eval-mode attention in single precision without the tape.

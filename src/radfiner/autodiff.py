@@ -10,10 +10,11 @@ between steps.  A gradient array may be shared, as the ``grad`` of a
 child or of two parents at once, so no gradient array is ever written
 in place.
 
-The op set is deliberately small: exactly what a point-transformer
-style network needs (matmul, broadcast arithmetic, relu/gelu,
-masked softmax, masked training-mode batch norm, integer gathers, sum
-reductions).
+The op set is deliberately small: exactly what the network's tape
+needs outside its attention layers (matmul, broadcast arithmetic, exp,
+log, gelu, softmax, training-mode batch norm, sum reductions).  The
+attention layers record one node each, computed in numpy; they share
+the batch-norm math `bn_forward`/`bn_backward` with `batch_norm`.
 """
 
 from __future__ import annotations
@@ -213,16 +214,6 @@ def log(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0.0))
-
-    return _record(out, (a,), backward)
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
     x = a.data
@@ -241,27 +232,15 @@ def gelu(a: Tensor) -> Tensor:
 # softmax
 
 
-def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
-    """Softmax along `axis` restricted to slots where `valid` is true.
-
-    Invalid slots come out exactly 0 and receive no gradient.  A slice
-    with no valid slot at all yields all zeros instead of nan.  The max
-    shift is treated as a constant, so the gradient is the usual
-    softmax Jacobian applied within each slice.
-    """
+def softmax(a: Tensor, axis: int) -> Tensor:
+    """exp(x - max) / sum along `axis`.  The max shift is treated as a
+    constant, so the gradient is the usual softmax Jacobian applied
+    within each slice."""
     x = a.data
     if not -x.ndim <= axis < x.ndim:
         raise ValueError(f"softmax axis {axis} out of range for ndim {x.ndim}")
-    mask = np.broadcast_to(np.asarray(valid, dtype=bool), x.shape)
-    neg = np.where(mask, x, -np.inf)
-    shift = np.max(neg, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)  # all-invalid slice
-    # exp(-inf) is exactly 0: an invalid logit is never exponentiated,
-    # so one far above the valid ones cannot overflow into inf * 0
-    ex = np.exp(neg - shift)
-    denom = ex.sum(axis=axis, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    s = ex / safe
+    ex = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    s = ex / ex.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
@@ -276,55 +255,50 @@ def masked_softmax(a: Tensor, valid: np.ndarray, axis: int) -> Tensor:
 
 
 def bn_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               mask: np.ndarray | None, zero_invalid: bool, eps: float):
+               mask: np.ndarray | None, eps: float):
     """Numpy forward of training-mode batch norm over every leading axis.
 
     Returns ``(out, mean, var, cache)``: the normalized array, the biased
     batch mean and variance, kept-dims shaped (1, ..., 1, D), and what
-    `bn_backward` needs.  `mask` (shape x.shape[:-1], at least one true
-    row) restricts the statistics to the rows it marks; with
-    ``zero_invalid`` the output of the other rows is 0 and they receive
-    no gradient, otherwise the batch affine acts on them too.
+    `bn_backward` needs.  `mask` (shape x.shape[:-1]) restricts the
+    statistics to the rows it marks; the batch affine acts on every row.
+    There must be at least one row to take statistics over.
     """
     axes = tuple(range(x.ndim - 1))
     if mask is None:
         m = None
         count = math.prod(x.shape[:-1])
-        mean = x.sum(axis=axes, keepdims=True) * (1.0 / count)
-        u = cu = x - mean
     else:
         m = mask[..., None].astype(np.float64)
         count = int(mask.sum())
-        mean = (x * m).sum(axis=axes, keepdims=True) * (1.0 / count)
-        u = x - mean
-        cu = u * m
+    if count == 0:
+        raise ValueError("batch norm over no valid rows")
+    xm = x if m is None else x * m
+    mean = xm.sum(axis=axes, keepdims=True) * (1.0 / count)
+    u = x - mean
+    cu = u if m is None else u * m
     var = (cu * cu).sum(axis=axes, keepdims=True) * (1.0 / count)
     inv = (var + eps) ** -0.5
-    xhat = (cu if zero_invalid else u) * inv
-    out = xhat * gamma + beta
-    s = m if zero_invalid else None
-    if s is not None:
-        out = out * s
-    return out, mean, var, (u, xhat, inv, m, s, count, gamma)
+    xhat = u * inv
+    return xhat * gamma + beta, mean, var, (u, xhat, inv, m, count, gamma)
 
 
 def bn_backward(g: np.ndarray, cache, need_dx: bool = True):
     """``(dx, dgamma, dbeta)`` of `bn_forward` for the output gradient g.
 
     The standard analytic backward (Ioffe & Szegedy, arXiv 1502.03167)
-    over the valid rows, with s = mask under ``zero_invalid`` and 1
-    otherwise: dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count,
-    where dxhat = g * s * gamma, dmean = -inv * sum(dxhat) and
+    with the statistics over the valid rows (m = mask, or 1 without one):
+    dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count, where
+    dxhat = g * gamma, dmean = -inv * sum(dxhat) and
     dvar = -inv**3 / 2 * sum(dxhat * u).  dx is None unless `need_dx`.
     """
-    u, xhat, inv, m, s, count, gamma = cache
+    u, xhat, inv, m, count, gamma = cache
     axes = tuple(range(g.ndim - 1))
-    gs = g if s is None else g * s
-    dgamma = (gs * xhat).sum(axis=axes)
-    dbeta = gs.sum(axis=axes)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
     if not need_dx:
         return None, dgamma, dbeta
-    dxhat = gs * gamma
+    dxhat = g * gamma
     dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
     dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
     shift = dmean + 2.0 * dvar * u
@@ -333,13 +307,12 @@ def bn_backward(g: np.ndarray, cache, need_dx: bool = True):
     return inv * dxhat + shift * (1.0 / count), dgamma, dbeta
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray | None,
-               zero_invalid: bool, eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Training-mode batch norm over every leading axis, as one node with
     parents (x, gamma, beta); `bn_forward` and `bn_backward` do the math.
     Returns ``(out, mean, var)``."""
-    out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, mask,
-                                       zero_invalid, eps)
+    out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, None, eps)
 
     def backward(g):
         dx, dgamma, dbeta = bn_backward(g, cache, need_dx=x.requires_grad)
@@ -351,36 +324,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mask: np.ndarray | None,
             x.accumulate_grad(dx)
 
     return _record(Tensor(out), (x, gamma, beta), backward), mean, var
-
-
-# --------------------------------------------------------------------------
-# indexing
-
-
-def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Advanced indexing a[indices] along axis 0; indices may be n-d.
-
-    Indices must be non-negative, as ``ball_query``'s are (it pads with
-    row 0): the backward scatters the gradient with one ``np.bincount``
-    keyed by row * width + channel, which takes no negative key.
-    bincount adds into each target in index order, as ``np.add.at``
-    does, so the gradient is bitwise that of the ``np.add.at`` scatter.
-    """
-    idx = np.asarray(indices)
-    if idx.size and idx.min() < 0:
-        raise ValueError("gather_rows indices must be non-negative")
-    out = Tensor(a.data[idx])
-
-    def backward(g):
-        if a.requires_grad:
-            width = math.prod(a.data.shape[1:])
-            keys = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-            acc = np.bincount(keys, weights=g.reshape(-1),
-                              minlength=a.data.shape[0] * width)
-            # astype: bincount over no keys returns int64 even with weights
-            a.accumulate_grad(acc.reshape(a.data.shape).astype(np.float64, copy=False))
-
-    return _record(out, (a,), backward)
 
 
 # --------------------------------------------------------------------------

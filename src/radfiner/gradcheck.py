@@ -1,9 +1,19 @@
-"""Central-difference verification of tape gradients.
+"""Finite-difference verification of tape gradients.
 
 Used both as a unit-test helper and behind the `gradcheck` CLI command:
 perturb every parameter entry by +-h, compare (f(x+h)-f(x-h))/2h
 against the analytic gradient, and report the worst relative error per
 parameter.
+
+At a kink (a ReLU input at exactly 0, a Lovász sort order that flips in
+the step) the central difference averages two one-sided slopes and
+matches neither.  On a smooth loss the one-sided differences
+(f(x+h)-f(x))/h and (f(x)-f(x-h))/h differ by |f''| * h; where they
+differ by more than `KINK_CURVATURE * h * max(1, |f(x)|)`, the entry is
+taken as a kink and scored against whichever of the three differences
+lies nearest the analytic value; the table counts the entries scored
+against a one-sided one.  It still counts in `max_rel_error`, so a
+subgradient that matches none of them fails.
 """
 
 from __future__ import annotations
@@ -16,11 +26,18 @@ from . import autodiff as ad
 from .autodiff import Param
 from .errors import ConfigError, NumericsError
 
+# Largest |f''| per unit of loss that counts as curvature.  On the toy
+# network's check (seeds 1-6, 2-20 points, h = 1e-5), in units of
+# max(1, |f(x)|), the smooth entries read at most 1.6 (2.6 where a kink
+# lies inside the step) and the ReLU inputs at exactly 0 at least 20.
+KINK_CURVATURE = 5.0
+
 
 @dataclass
 class GradCheckReport:
     max_rel_error: float
     per_param: dict[str, float] = field(default_factory=dict)
+    kinks: dict[str, int] = field(default_factory=dict)
 
     def passed(self, tol: float) -> bool:
         return self.max_rel_error < tol
@@ -29,7 +46,9 @@ class GradCheckReport:
         width = max((len(n) for n in self.per_param), default=10)
         lines = [f"{'parameter':<{width}}  max_rel_error"]
         for name in sorted(self.per_param):
-            lines.append(f"{name:<{width}}  {self.per_param[name]:.3e}")
+            kinks = self.kinks.get(name, 0)
+            mark = f"  kinks: {kinks}" if kinks else ""
+            lines.append(f"{name:<{width}}  {self.per_param[name]:.3e}{mark}")
         lines.append(f"{'WORST':<{width}}  {self.max_rel_error:.3e}")
         return "\n".join(lines)
 
@@ -46,10 +65,12 @@ def gradient_check(loss_fn, params: list[Param], h: float = 1e-5) -> GradCheckRe
     for p in params:
         p.zero_grad()
     loss = loss_fn()
-    if not np.isfinite(loss.data):
+    f0 = float(loss.data)
+    if not np.isfinite(f0):
         raise NumericsError("gradcheck loss is non-finite")
     ad.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
+    kink_gap = KINK_CURVATURE * h * max(1.0, abs(f0))
 
     report = GradCheckReport(max_rel_error=0.0)
     for p in params:
@@ -66,6 +87,11 @@ def gradient_check(loss_fn, params: list[Param], h: float = 1e-5) -> GradCheckRe
             if not (np.isfinite(f1) and np.isfinite(f2)):
                 raise NumericsError(f"non-finite loss while perturbing {p.name}")
             num = (f1 - f2) / (2.0 * h)
+            fwd, bwd = (f1 - f0) / h, (f0 - f2) / h
+            side = min(fwd, bwd, key=lambda d: abs(ana[i] - d))
+            if abs(fwd - bwd) > kink_gap and abs(ana[i] - side) < abs(ana[i] - num):
+                num = side
+                report.kinks[p.name] = report.kinks.get(p.name, 0) + 1
             denom = max(abs(ana[i]), abs(num), 1e-8)
             worst = max(worst, abs(ana[i] - num) / denom)
         report.per_param[p.name] = worst

@@ -8,16 +8,15 @@ skipped.  Only direct attributes are walked, so a layer kept in a list
 or dict would not be found.
 
 BatchNorm here normalizes over every leading axis (all rows), with the
-last axis as channels.  Neighborhood tensors carry padding, so the
-statistics can be restricted to valid rows via a boolean mask; padded
-rows are always excluded from the statistics and, by default, zeroed in
-the output so downstream masked reductions stay exact.  In training
-mode a BatchNorm call is one tape node with the analytic backward;
-eval mode composes tape primitives from the running statistics.  The
-training math lives once, in `autodiff.bn_forward` and
-`autodiff.bn_backward`: the BatchNorm node and the fused training node
-of `attention.RadiusAttention` both call them, and both fold the batch
-statistics into the running estimates through `BatchNorm.track`.
+last axis as channels.  In training mode a BatchNorm call is one tape
+node with the analytic backward; eval mode composes tape primitives from
+the running statistics.  The training math lives once, in
+`autodiff.bn_forward` and `autodiff.bn_backward`: the BatchNorm node
+and the pair forward of `attention.RadiusAttention` both call them, and
+both fold the batch statistics into the running estimates through
+`BatchNorm.track`.  Only the attention restricts the statistics to the
+valid rows of a padded neighborhood (`bn_forward`'s mask); it applies
+the eval-mode norms itself, through `BatchNorm.eval_affine`.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class Linear(Module):
 class BatchNorm(Module):
     """Per-channel normalization with running statistics.
 
-    Training mode uses biased batch statistics over the valid rows and
-    folds them into the running estimates with `momentum`; it records
-    one tape node with the analytic backward (`autodiff.batch_norm`).
+    Training mode uses biased batch statistics over the rows and folds
+    them into the running estimates with `momentum`; it records one tape
+    node with the analytic backward (`autodiff.batch_norm`).
     Eval mode applies the running affine only.  `track_stats` can be
     switched off to keep repeated forwards (e.g. finite differencing)
     from drifting the running estimates.
@@ -102,37 +101,17 @@ class BatchNorm(Module):
         self.running_var = np.ones(width)
         self.track_stats = True
 
-    def __call__(self, x: Tensor, valid: np.ndarray | None = None,
-                 training: bool = False, zero_invalid: bool = True) -> Tensor:
-        """`valid` marks rows that count; shape = x.shape[:-1].
-
-        zero_invalid=False still excludes masked rows from the
-        statistics but lets the affine transform act on them (used by
-        the zero-padding ablation, where padded slots must keep flowing).
-        """
+    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         if x.data.shape[-1] != self.width:
             raise ValueError(
                 f"{self.name}: expected {self.width} channels, got {x.data.shape[-1]}")
-        mask = None
-        if valid is not None:
-            mask = np.asarray(valid, dtype=bool)
-            if mask.shape != x.data.shape[:-1]:
-                raise ValueError(f"{self.name}: mask shape {mask.shape} "
-                                 f"does not match rows {x.data.shape[:-1]}")
-        if x.data.size == 0 or (mask is not None and not mask.any()):
-            raise ValueError(f"{self.name}: no valid rows to normalize")
-
         if training:
-            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, mask,
-                                           zero_invalid, self.eps)
+            out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
             self.track(mean, var)
             return out
 
         inv_np = 1.0 / np.sqrt(self.running_var + self.eps)
-        out = (x - self.running_mean) * inv_np * self.gamma + self.beta
-        if mask is not None and zero_invalid:
-            out = out * mask[..., None].astype(np.float64)
-        return out
+        return (x - self.running_mean) * inv_np * self.gamma + self.beta
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one training batch's statistics into the running estimates

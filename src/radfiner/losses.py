@@ -26,7 +26,7 @@ def softmax_probs(logits: Tensor) -> Tensor:
     """Row-wise class probabilities."""
     if not np.all(np.isfinite(logits.data)):
         raise NumericsError("non-finite logits")
-    return ad.masked_softmax(logits, np.ones(logits.data.shape, dtype=bool), axis=1)
+    return ad.softmax(logits, axis=1)
 
 
 def _check_targets(n: int, classes: int, targets: np.ndarray) -> np.ndarray:

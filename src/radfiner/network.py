@@ -16,6 +16,7 @@ post_mlp(attention(pre_mlp(x)) + pre_mlp(x)).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,17 +169,23 @@ class RadFinerNet(Module):
 
     def forward(self, coords: np.ndarray, features: np.ndarray,
                 training: bool = False, nb: Neighborhood | None = None) -> Tensor:
-        """Per-point class logits on the autodiff tape (training and
-        gradient checking; `infer` is the fast evaluation path)."""
+        """Per-point class logits in float64.
+
+        Training mode records the autodiff tape (training and gradient
+        checking).  The eval forward (training=False) is tape-free: it
+        runs under `autodiff.no_grad` on the running statistics and is
+        the float64 reference of `infer`, the fast evaluation path.
+        """
         features, nb = self._conditioned(coords, features, nb)
         if len(features) == 0:
             return Tensor(np.zeros((0, self.config.classes)))
-        x = self.embed(Tensor(features))
-        x = self.block1(x, nb, training)
-        x = self.block2(x, nb, training)
-        x = self.head1(x, training)
-        x = self.head2(x, training)
-        return self.head3(x, training)
+        with contextlib.nullcontext() if training else ad.no_grad():
+            x = self.embed(Tensor(features))
+            x = self.block1(x, nb, training)
+            x = self.block2(x, nb, training)
+            x = self.head1(x, training)
+            x = self.head2(x, training)
+            return self.head3(x, training)
 
     def infer(self, coords: np.ndarray, features: np.ndarray,
               nb: Neighborhood | None = None) -> np.ndarray:
@@ -187,8 +194,9 @@ class RadFinerNet(Module):
         Same architecture and running statistics as
         forward(training=False); differs only in float precision, in
         each eval-mode norm folded into the linear map beside it, and in
-        the attention running over tiles of anchors.  This is what
-        evaluation and benchmarks run.
+        the attention running over padded tiles of anchors rather than
+        over runs of selected pairs.  This is what evaluation and
+        benchmarks run.
         """
         features, nb = self._conditioned(coords, features, nb)
         if len(features) == 0:

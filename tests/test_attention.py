@@ -13,26 +13,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radfiner import autodiff as ad
-from radfiner.attention import PositionalEncoder, RadiusAttention
+from radfiner.attention import PAD_MODES, RadiusAttention
 from radfiner.autodiff import Param, Tensor
 from radfiner.errors import ConfigError
 from radfiner.gradcheck import gradient_check
 from radfiner.neighborhood import ball_query
 
 
-def _bn_ref(x, valid, gamma, beta, eps=1e-8, zero_invalid=True):
-    rows = x[valid]
-    mean = rows.mean(axis=0)
-    var = ((rows - mean) ** 2).mean(axis=0)  # biased, valid rows only
-    xhat = (x - mean) / np.sqrt(var + eps)
-    out = gamma * xhat + beta
-    if zero_invalid:
+def _bn_ref(x, valid, bn, training, masked, eps=1e-8):
+    """Training mode: biased statistics of the valid rows; eval mode: the
+    running statistics.  Applied to every row; under mask the padded rows
+    are then zeroed (they carry no weight either way)."""
+    if training:
+        rows = x[valid]
+        mean = rows.mean(axis=0)
+        var = ((rows - mean) ** 2).mean(axis=0)
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    out = bn.gamma.data * (x - mean) / np.sqrt(var + eps) + bn.beta.data
+    if masked:
         out = np.where(valid[..., None], out, 0.0)
     return out
 
 
-def _loop_attention(x, nb, layer, pad_mode):
-    """Equation-by-equation reference, training-mode batch norm."""
+def _loop_attention(x, nb, layer, pad_mode, training=True):
+    """Equation-by-equation reference, batch norm of the given mode."""
     n, d = x.shape
     m = nb.indices.shape[1]
     wq, wk, wv = layer.wq.data, layer.wk.data, layer.wv.data
@@ -43,8 +48,7 @@ def _loop_attention(x, nb, layer, pad_mode):
     for i in range(n):
         for j in range(m):
             pos_h[i, j] = nb.rel_pos[i, j] @ layer.pos.w1.data
-    pos_h = _bn_ref(pos_h, nb.valid, layer.pos.bn.gamma.data,
-                    layer.pos.bn.beta.data, zero_invalid=masked)
+    pos_h = _bn_ref(pos_h, nb.valid, layer.pos.bn, training, masked)
     r_enc = np.maximum(pos_h, 0.0) @ layer.pos.w2.data
 
     a = np.zeros((n, m, d))
@@ -55,11 +59,9 @@ def _loop_attention(x, nb, layer, pad_mode):
                 a[i, j] = (q[nj] - k[nj]) + r_enc[i, j]
             else:
                 a[i, j] = r_enc[i, j]  # zero-valued q/k in the padded slot
-    a = _bn_ref(a, nb.valid, layer.mlp_bn1.gamma.data, layer.mlp_bn1.beta.data,
-                zero_invalid=masked)
+    a = _bn_ref(a, nb.valid, layer.mlp_bn1, training, masked)
     a = np.maximum(a, 0.0) @ layer.mlp_w1.data
-    a = _bn_ref(a, nb.valid, layer.mlp_bn2.gamma.data, layer.mlp_bn2.beta.data,
-                zero_invalid=masked)
+    a = _bn_ref(a, nb.valid, layer.mlp_bn2, training, masked)
     a = np.maximum(a, 0.0) @ layer.mlp_w2.data
 
     weights = np.zeros((n, m, d))
@@ -90,6 +92,10 @@ def _random_setup(seed, n=9, d=6, radius=3.0, n_max=4, pad_mode="mask"):
     for bn in layer.bn_layers():
         bn.gamma.data += rng.normal(scale=0.1, size=bn.gamma.data.shape)
         bn.beta.data += rng.normal(scale=0.1, size=bn.beta.data.shape)
+    # running statistics away from (0, 1), for the eval-mode norms
+    for bn in layer.bn_layers():
+        bn.running_mean = rng.normal(scale=0.5, size=bn.width)
+        bn.running_var = np.exp(rng.normal(scale=0.5, size=bn.width))
     return x, nb, layer
 
 
@@ -106,22 +112,43 @@ def test_matches_loop_reference(pad_mode, seed):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 10), n_max=st.integers(1, 6),
        d=st.integers(1, 5), radius=st.sampled_from([0.01, 1.0, 3.0, 100.0]),
-       pad_mode=st.sampled_from(["mask", "zeropad"]))
-@example(seed=0, n=1, n_max=3, d=2, radius=1.0, pad_mode="mask")
-@example(seed=1, n=6, n_max=1, d=3, radius=3.0, pad_mode="zeropad")
-@example(seed=2, n=5, n_max=4, d=3, radius=0.01, pad_mode="zeropad")  # isolated
-@example(seed=3, n=8, n_max=5, d=4, radius=100.0, pad_mode="mask")    # full rows
+       pad_mode=st.sampled_from(["mask", "zeropad"]), training=st.booleans())
+@example(seed=0, n=1, n_max=3, d=2, radius=1.0, pad_mode="mask", training=True)
+@example(seed=1, n=6, n_max=1, d=3, radius=3.0, pad_mode="zeropad", training=True)
+@example(seed=2, n=5, n_max=4, d=3, radius=0.01, pad_mode="zeropad", training=True)  # isolated
+@example(seed=3, n=8, n_max=5, d=4, radius=100.0, pad_mode="mask", training=True)    # full rows
+@example(seed=4, n=1, n_max=3, d=2, radius=1.0, pad_mode="zeropad", training=False)
+@example(seed=5, n=7, n_max=4, d=3, radius=3.0, pad_mode="mask", training=False)
 def test_training_forward_matches_loop_reference_property(seed, n, n_max, d, radius,
-                                                          pad_mode):
+                                                          pad_mode, training):
     x, nb, layer = _random_setup(seed, n=n, d=d, radius=radius, n_max=n_max,
                                  pad_mode=pad_mode)
-    out, weights = layer(Tensor(x), nb, training=True, return_weights=True)
-    ref_out, ref_w = _loop_attention(x, nb, layer, pad_mode)
+    ref_out, ref_w = _loop_attention(x, nb, layer, pad_mode, training)
+    out, weights = layer(Tensor(x), nb, training=training, return_weights=True)
+    assert out.requires_grad == training
     assert weights.shape == (n, n_max, d)
     assert np.allclose(weights, ref_w, atol=1e-9)
     assert np.allclose(out.data, ref_out, atol=1e-9)
     if pad_mode == "mask":
         assert np.all(weights[~nb.valid] == 0.0)
+
+
+@pytest.mark.parametrize("pad_mode", PAD_MODES)
+def test_eval_on_batch_statistics_equals_training(pad_mode):
+    # eval mode differs from training mode only in where the norms take
+    # their statistics: handed one training call's batch statistics as
+    # running estimates, it must give that call's output
+    x, nb, layer = _random_setup(16, n=14, d=5, n_max=5, pad_mode=pad_mode)
+    assert np.any(~nb.valid), "setup must contain padded slots"
+    for bn in layer.bn_layers():
+        bn.momentum = 1.0  # the running estimates become the batch statistics
+    layer(Tensor(x), nb, training=True)
+    for bn in layer.bn_layers():
+        bn.track_stats = False
+    train_out, train_w = layer(Tensor(x), nb, training=True, return_weights=True)
+    eval_out, eval_w = layer(Tensor(x), nb, training=False, return_weights=True)
+    for got, want in ((eval_out.data, train_out.data), (eval_w, train_w)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_weights_sum_to_one_over_valid_slots():
@@ -166,20 +193,7 @@ def test_permutation_consistency():
     assert np.allclose(out_a[perm], out_b, atol=1e-9)
 
 
-def test_positional_encoder_zeroes_padded_slots():
-    rng = np.random.default_rng(3)
-    rel = rng.normal(size=(4, 3, 2))
-    valid = np.ones((4, 3), dtype=bool)
-    valid[:, 2] = False
-    rel[~valid] = 0.0
-    enc = PositionalEncoder("pos", 5, rng)
-    out = enc(rel, valid, training=True).data
-    assert out.shape == (4, 3, 5)
-    assert np.all(out[~valid] == 0.0)
-    assert np.any(out[valid] != 0.0)
-
-
-@pytest.mark.parametrize("pad_mode", ["mask", "zeropad"])
+@pytest.mark.parametrize("pad_mode", PAD_MODES)
 def test_attention_gradients(pad_mode):
     # every parameter of one block at D=8 over 12 points
     x, nb, layer = _random_setup(14, n=12, d=8, n_max=4, pad_mode=pad_mode)
@@ -193,6 +207,45 @@ def test_attention_gradients(pad_mode):
 
     report = gradient_check(loss_fn, [xt, *layer.params()], h=1e-5)
     assert report.max_rel_error < 1e-4
+
+
+@pytest.mark.parametrize("pad_mode", PAD_MODES)
+def test_x_gradient_scatter_matches_add_at_bitwise(pad_mode, monkeypatch):
+    # the backward scatters the pairs' gradients to their neighbours with
+    # one np.bincount per array (q - k, then v), keyed point by point in
+    # pair order; into each point it must add as np.add.at does.  Points on
+    # a half-step grid repeat, so each is a neighbour many times over, and
+    # the upstream gradient spans 16 decades, so another order of the sum
+    # changes the bytes
+    rng = np.random.default_rng(17)
+    pts = rng.integers(0, 5, size=(40, 2)) * 0.5
+    nb = ball_query(pts, 1.0, 7)
+    d = 5
+    layer = RadiusAttention("attn", d, np.random.default_rng(18), pad_mode)
+    x = rng.normal(size=(40, d))
+    w = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-8, 8, size=(40, d))
+    pairs = nb.indices[nb.valid] if pad_mode == "mask" else nb.indices.reshape(-1)
+    pair_keys = (pairs[:, None] * d + np.arange(d)).reshape(-1)
+    assert len(np.unique(pairs)) < len(pairs) // 4
+
+    def x_grad():
+        xt = Tensor(x, requires_grad=True)
+        ad.backward(ad.reduce_sum(layer(xt, nb, training=True) * w))
+        return xt.grad
+
+    calls = []
+
+    def add_at(keys, weights, minlength):
+        calls.append(np.array_equal(keys, pair_keys))
+        out = np.zeros(minlength)
+        np.add.at(out, keys, weights)
+        return out
+
+    got = x_grad()
+    monkeypatch.setattr(np, "bincount", add_at)
+    want = x_grad()
+    assert calls == [True, True]
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_cap_monotonicity():

@@ -14,7 +14,6 @@ import pytest
 
 from radfiner import autodiff as ad
 from radfiner.losses import total_loss
-from radfiner.neighborhood import ball_query
 from radfiner.network import RadFinerNet, toy_config
 
 
@@ -74,19 +73,15 @@ def test_matmul_rejects_nd_rhs():
         ad.matmul(a, b)
 
 
-def test_exp_log_relu():
+def test_exp_log():
     r = _rng()
     a = r.normal(size=(6,))
     pos = np.abs(a) + 0.3
     _check(lambda x: ad.reduce_sum(ad.exp(x)), a)
     _check(lambda x: ad.reduce_sum(ad.log(x)), pos)
-    # keep relu inputs away from the kink where the subgradient is ambiguous
-    off_kink = a + np.sign(a) * 0.05
-    _check(lambda x: ad.reduce_sum(ad.relu(x)), off_kink)
 
 
-def test_relu_and_gelu_point_values():
-    assert ad.relu(ad.Tensor(-3.0)).item() == 0.0
+def test_gelu_point_values():
     assert ad.gelu(ad.Tensor(0.0)).item() == 0.0
     # gelu(1) = 1 * Phi(1)
     assert abs(ad.gelu(ad.Tensor(1.0)).item() - 0.8413447460685429) < 1e-12
@@ -98,102 +93,27 @@ def test_gelu_gradient():
     _check(lambda x: ad.reduce_sum(ad.gelu(x)), a)
 
 
-def test_masked_softmax_forward_contracts():
-    r = _rng()
-    x = r.normal(size=(4, 6))
-    valid = r.random(size=(4, 6)) > 0.3
-    valid[0] = False  # an all-invalid row must come out all zero
-    valid[1] = True
-    out = ad.masked_softmax(ad.Tensor(x), valid, axis=1).data
-    assert np.all(out[0] == 0.0)
-    assert np.all(out[~valid] == 0.0)
-    sums = out.sum(axis=1)
-    assert np.allclose(sums[1:], 1.0, atol=1e-12)
-    assert sums[0] == 0.0
-    # plain softmax agreement when everything is valid
-    ref = np.exp(x[1] - x[1].max())
-    ref /= ref.sum()
-    assert np.allclose(out[1], ref, atol=1e-12)
-
-
-def test_masked_softmax_shift_invariance():
-    x = np.array([[1.0, 2.0, 3.0]])
-    valid = np.ones_like(x, dtype=bool)
-    a = ad.masked_softmax(ad.Tensor(x), valid, axis=1).data
-    b = ad.masked_softmax(ad.Tensor(x + 500.0), valid, axis=1).data
+def test_softmax_shift_invariance():
+    x = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 2.0]])
+    a = ad.softmax(ad.Tensor(x), axis=1).data
+    b = ad.softmax(ad.Tensor(x + 500.0), axis=1).data
     assert np.allclose(a, b, atol=1e-12)
     assert np.all(np.isfinite(b))
+    ref = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
+    assert np.allclose(a, ref, atol=1e-12)
 
 
-def test_masked_softmax_never_exponentiates_a_masked_logit():
-    # exp(800) overflows; times a zero mask it would give nan, not 0
-    a = ad.Tensor([[0.0, 800.0]], requires_grad=True)
-    with np.errstate(over="raise", invalid="raise"):
-        s = ad.masked_softmax(a, np.array([[True, False]]), axis=1)
-    assert s.data.tolist() == [[1.0, 0.0]]
-    ad.backward(ad.reduce_sum(s))
-    assert np.all(np.isfinite(a.grad))
-
-
-def test_masked_softmax_gradient():
+def test_softmax_gradient():
     r = _rng()
     x = r.normal(size=(3, 5))
-    valid = np.ones((3, 5), dtype=bool)
-    valid[1, 2:] = False
     w = r.normal(size=(3, 5))  # random linear functional downstream
-
-    def build(t):
-        return ad.reduce_sum(ad.masked_softmax(t, valid, axis=1) * w)
-
-    _check(build, x)
+    for axis in (0, 1):
+        _check(lambda t: ad.reduce_sum(ad.softmax(t, axis=axis) * w), x)
 
 
-def test_masked_softmax_axis_out_of_range():
+def test_softmax_axis_out_of_range():
     with pytest.raises(ValueError):
-        ad.masked_softmax(ad.Tensor(np.zeros((2, 3))), np.ones((2, 3), bool), axis=2)
-
-
-def test_gather_rows_accumulates_duplicates():
-    r = _rng()
-    a = r.normal(size=(5, 3))
-    idx = np.array([[0, 0], [4, 2]])
-    w = r.normal(size=(2, 2, 3))
-    _check(lambda x: ad.reduce_sum(ad.gather_rows(x, idx) * w), a)
-    t = ad.Tensor(a, requires_grad=True)
-    out = ad.gather_rows(t, idx)
-    ad.backward(ad.reduce_sum(out))
-    assert np.allclose(t.grad[0], 2.0)  # row 0 gathered twice
-    assert np.allclose(t.grad[1], 0.0)
-    assert np.allclose(t.grad[3], 0.0)
-
-
-def test_gather_rows_backward_matches_add_at_bitwise():
-    r = _rng()
-    for trial in range(120):
-        rows = 1 if trial % 10 == 0 else int(r.integers(2, 40))
-        shape = (rows,) if trial % 3 == 0 else (rows, int(r.integers(1, 9)))
-        if trial % 4 == 1:
-            # ball_query rows: duplicates, and padded slots pointing at row 0
-            nb = ball_query(r.uniform(0, 6, size=(rows, 2)), 1.5, int(r.integers(1, 8)))
-            idx = nb.indices
-        else:
-            n_idx = 0 if trial % 10 == 2 else int(r.integers(1, 30))
-            idx = r.integers(0, rows, size=(n_idx, int(r.integers(1, 6))))
-        # magnitudes over 16 decades, so any change of summation order shows
-        w = r.normal(size=idx.shape + shape[1:]) * 10.0 ** r.uniform(-8, 8, idx.shape + shape[1:])
-        t = ad.Tensor(r.normal(size=shape), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.gather_rows(t, idx) * w))
-        ref = np.zeros(shape)
-        np.add.at(ref, idx, w)
-        assert t.grad.shape == shape and t.grad.dtype == np.float64
-        assert t.grad.tobytes() == ref.tobytes(), f"trial {trial}"
-
-
-def test_gather_rows_rejects_negative_indices():
-    t = ad.Tensor(np.zeros((4, 3)), requires_grad=True)
-    with pytest.raises(ValueError):
-        ad.gather_rows(t, np.array([[0, -1]]))
-    assert ad.gather_rows(t, np.zeros((0, 2), dtype=np.int64)).shape == (0, 2, 3)
+        ad.softmax(ad.Tensor(np.zeros((2, 3))), axis=2)
 
 
 def test_reduce_sum_axes_and_keepdims():
@@ -293,13 +213,10 @@ def test_graph_is_freed_by_reference_counting():
     # a backward closure that holds its own output node makes the graph a
     # reference cycle, which lives on until the cyclic collector runs
     r = _rng()
-    valid = np.ones((3, 5), dtype=bool)
-    valid[1, 2:] = False
     gc.collect()
     gc.disable()
     try:
-        probs = ad.masked_softmax(ad.Tensor(r.normal(size=(3, 5)), requires_grad=True),
-                                  valid, axis=1)
+        probs = ad.softmax(ad.Tensor(r.normal(size=(3, 5)), requires_grad=True), axis=1)
         loss = ad.exp(ad.reduce_sum(probs * r.normal(size=(3, 5))))
         ad.backward(loss)
         # Tensor has no weakref slot; its data array dies with it

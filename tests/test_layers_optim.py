@@ -33,23 +33,27 @@ def test_batchnorm_training_statistics():
 
 
 def test_batchnorm_masked_stats_ignore_padded_rows():
+    # the attention's masked statistics: taken over the valid rows, with
+    # the batch affine applied to every row
     r = np.random.default_rng(1)
     x = r.normal(size=(5, 6, 4))
     valid = r.random((5, 6)) > 0.4
     valid[0, 0] = True
     poisoned = x.copy()
     poisoned[~valid] = 1e9  # junk in padded slots must not leak into stats
-    bn1 = BatchNorm("a", 4)
-    bn2 = BatchNorm("b", 4)
-    out1 = bn1(Tensor(x), valid=valid, training=True).data
-    out2 = bn2(Tensor(poisoned), valid=valid, training=True).data
+    gamma, beta = r.normal(size=4), r.normal(size=4)
+    out1, mean1, var1, _ = ad.bn_forward(x, gamma, beta, valid, BatchNorm.eps)
+    out2, mean2, var2, _ = ad.bn_forward(poisoned, gamma, beta, valid, BatchNorm.eps)
     assert np.allclose(out1[valid], out2[valid], atol=1e-9)
-    assert np.all(out2[~valid] == 0.0)
-    assert np.allclose(bn1.running_mean, bn2.running_mean, atol=1e-12)
+    assert np.allclose(mean1, mean2, atol=1e-12) and np.allclose(var1, var2, atol=1e-12)
     # valid rows are normalized
-    flat = out1[valid]
-    assert np.max(np.abs(flat.mean(axis=0))) < 1e-9
-    assert np.max(np.abs(flat.var(axis=0) - 1.0)) < 1e-6
+    xhat = (out1[valid] - beta) / gamma
+    assert np.max(np.abs(xhat.mean(axis=0))) < 1e-9
+    assert np.max(np.abs(xhat.var(axis=0) - 1.0)) < 1e-6
+    # padded rows keep flowing under the same affine
+    want = (x[~valid] - mean1.reshape(-1)) / np.sqrt(var1.reshape(-1) + BatchNorm.eps)
+    assert np.allclose(out1[~valid], want * gamma + beta, atol=1e-12)
+    assert np.any(out1[~valid] != 0.0)
 
 
 def test_batchnorm_running_stats_update_and_eval():
@@ -71,53 +75,39 @@ def test_batchnorm_running_stats_update_and_eval():
     assert np.allclose(y, expected, atol=1e-12)
 
 
-def test_batchnorm_zero_invalid_false_keeps_padded_rows_alive():
-    r = np.random.default_rng(2)
-    x = r.normal(size=(4, 3, 2))
-    valid = np.ones((4, 3), dtype=bool)
-    valid[:, 2] = False
-    bn = BatchNorm("bn", 2)
-    out = bn(Tensor(x), valid=valid, training=True, zero_invalid=False).data
-    assert np.any(out[~valid] != 0.0)
-
-
 def test_batchnorm_rejects_bad_shapes_and_empty_mask():
     bn = BatchNorm("bn", 3)
     with pytest.raises(ValueError):
         bn(Tensor(np.zeros((2, 4))), training=True)
     with pytest.raises(ValueError):
-        bn(Tensor(np.zeros((2, 3))), valid=np.zeros((2,), dtype=bool), training=True)
+        bn(Tensor(np.zeros((0, 3))), training=True)
+    with pytest.raises(ValueError):
+        ad.bn_forward(np.zeros((2, 3)), np.ones(3), np.zeros(3),
+                      np.zeros((2,), dtype=bool), BatchNorm.eps)
 
 
 def test_batchnorm_gradients_flow():
     r = np.random.default_rng(5)
-    for masked, zero_invalid in [(False, True), (True, True), (True, False)]:
-        x = r.normal(size=(4, 3, 3)) if masked else r.normal(size=(6, 3))
-        w = r.normal(size=x.shape)
-        valid = None
-        if masked:
-            valid = r.random(x.shape[:-1]) > 0.35
-            valid[0, 0] = valid[1, 2] = False
-            valid[0, 1] = True
-        bn = BatchNorm("bn", 3)
-        bn.track_stats = False
-        bn.gamma.data[:] = r.normal(size=3)
-        bn.beta.data[:] = r.normal(size=3)
-        xt = Param("x", x)
+    x = r.normal(size=(6, 3))
+    w = r.normal(size=x.shape)
+    bn = BatchNorm("bn", 3)
+    bn.track_stats = False
+    bn.gamma.data[:] = r.normal(size=3)
+    bn.beta.data[:] = r.normal(size=3)
+    xt = Param("x", x)
 
-        def loss_fn():
-            out = bn(xt, valid=valid, training=True, zero_invalid=zero_invalid)
-            return ad.reduce_sum(out * w)
+    def loss_fn():
+        return ad.reduce_sum(bn(xt, training=True) * w)
 
-        report = gradient_check(loss_fn, [xt, bn.gamma, bn.beta], h=1e-5)
-        assert report.max_rel_error < 1e-6, (masked, zero_invalid)
+    report = gradient_check(loss_fn, [xt, bn.gamma, bn.beta], h=1e-5)
+    assert report.max_rel_error < 1e-6
 
 
 def test_batchnorm_training_call_is_one_tape_node():
     r = np.random.default_rng(6)
     x = Param("x", r.normal(size=(5, 4, 3)))
     bn = BatchNorm("bn", 3)
-    out = bn(x, valid=r.random((5, 4)) > 0.3, training=True)
+    out = bn(x, training=True)
     assert out.requires_grad and out._backward is not None
     assert len(out._parents) == 3
     assert all(a is b for a, b in zip(out._parents, (x, bn.gamma, bn.beta)))
@@ -145,9 +135,11 @@ def _pow_node(a, c):
     return ad._record(Tensor(a.data**c), (a,), backward)
 
 
-def _primitive_bn(bn, x, valid, zero_invalid):
+def _primitive_bn(bn, x, valid):
     """Training-mode BatchNorm composed from tape primitives, as it was
-    before it became one node: the oracle for forward bytes and gradients."""
+    before it became one node: the oracle for forward bytes and gradients.
+    With `valid`, the statistics are over the valid rows and the affine
+    acts on every row."""
     if valid is not None:
         mask_col = valid[..., None].astype(np.float64)
         count = int(valid.sum())
@@ -162,11 +154,9 @@ def _primitive_bn(bn, x, valid, zero_invalid):
         centered = centered * mask_col
     var = ad.reduce_sum(centered * centered, axis=axes, keepdims=True) * (1.0 / count)
     inv = _pow_node(var + bn.eps, -0.5)
-    if mask_col is not None and not zero_invalid:
+    if mask_col is not None:
         centered = x - mean
     out = centered * inv * bn.gamma + bn.beta
-    if mask_col is not None and zero_invalid:
-        out = out * mask_col
     m = bn.momentum
     running_mean = (1.0 - m) * bn.running_mean + m * mean.data.reshape(-1)
     running_var = (1.0 - m) * bn.running_var + m * var.data.reshape(-1)
@@ -177,7 +167,23 @@ def _rel_err(got, want, scale=0.0):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), scale, 1e-300)
 
 
-@pytest.mark.parametrize("mode", ["unmasked", "zero_invalid", "keep_invalid"])
+def _masked_bn_node(bn, x, valid):
+    """`ad.bn_forward`/`bn_backward` with a row mask, as one tape node
+    with parents (x, gamma, beta); BatchNorm itself takes no mask."""
+    out, mean, var, cache = ad.bn_forward(x.data, bn.gamma.data, bn.beta.data,
+                                          valid, bn.eps)
+    bn.track(mean, var)
+
+    def backward(g):
+        dx, dgamma, dbeta = ad.bn_backward(g, cache)
+        x.accumulate_grad(dx)
+        bn.gamma.accumulate_grad(dgamma)
+        bn.beta.accumulate_grad(dbeta)
+
+    return ad._record(Tensor(out), (x, bn.gamma, bn.beta), backward)
+
+
+@pytest.mark.parametrize("mode", ["unmasked", "keep_invalid"])
 def test_batchnorm_node_matches_primitive_graph(mode):
     r = np.random.default_rng(11)
     cases = [(int(r.integers(1, 8)), int(r.integers(1, 7)), int(r.integers(1, 6)))
@@ -198,10 +204,12 @@ def test_batchnorm_node_matches_primitive_graph(mode):
             bn.beta.data[:] = np.linspace(-1.0, 1.0, shape[2])
             bn.running_mean[:] = 0.25
         xf, xp = Param("xf", x), Param("xp", x)
-        zero_invalid = mode != "keep_invalid"
 
-        out_f = fused(xf, valid=valid, training=True, zero_invalid=zero_invalid)
-        out_p, mean_p, var_p, inv = _primitive_bn(prim, xp, valid, zero_invalid)
+        if valid is None:
+            out_f = fused(xf, training=True)
+        else:
+            out_f = _masked_bn_node(fused, xf, valid)
+        out_p, mean_p, var_p, inv = _primitive_bn(prim, xp, valid)
         assert out_f.data.tobytes() == out_p.data.tobytes()
         assert fused.running_mean.tobytes() == mean_p.tobytes()
         assert fused.running_var.tobytes() == var_p.tobytes()
@@ -214,8 +222,6 @@ def test_batchnorm_node_matches_primitive_graph(mode):
         assert _rel_err(xf.grad, xp.grad, terms) <= 1e-12, (k, shape)
         assert _rel_err(fused.gamma.grad, prim.gamma.grad) <= 1e-12, (k, shape)
         assert _rel_err(fused.beta.grad, prim.beta.grad) <= 1e-12, (k, shape)
-        if mode == "zero_invalid":
-            assert np.all(xf.grad[~valid] == 0.0)
 
 
 def test_adamw_single_step_matches_hand_formula():
@@ -274,15 +280,50 @@ def test_gradient_check_exact_on_quadratic():
     assert set(report.per_param) == {"p"}
 
 
+def _relu_node(a, slope_at_zero):
+    """relu(a) whose backward takes `slope_at_zero` as the subgradient at 0."""
+    def backward(g):
+        a.accumulate_grad(g * np.where(a.data > 0.0, 1.0,
+                                       np.where(a.data == 0.0, slope_at_zero, 0.0)))
+
+    return ad._record(Tensor(np.maximum(a.data, 0.0)), (a,), backward)
+
+
 def test_gradient_check_detects_mismatch_at_relu_kink():
-    # analytic subgradient at 0 is 0; central difference sees 0.5
-    p = Param("p", np.array([0.0]))
+    # at the kink the central difference sees 0.5, the average of the two
+    # one-sided slopes 0 and 1; the check scores the entry against the
+    # difference nearest the analytic value and counts it when that one is
+    # one-sided, so only a subgradient outside [0, 1] fails
+    p = Param("p", np.array([0.0, 1.0]))
+    for slope, kinks, passes in ((0.0, 1, True), (1.0, 1, True), (0.5, 0, True),
+                                 (-1.0, 1, False), (2.0, 1, False)):
+        report = gradient_check(lambda: ad.reduce_sum(_relu_node(p, slope)), [p], h=1e-5)
+        assert report.kinks == ({"p": kinks} if kinks else {}), slope
+        if passes:
+            assert report.max_rel_error < 1e-9, slope
+        else:
+            assert report.max_rel_error > 0.4, slope
+    assert "kinks: 1" in report.format_table()
+
+
+def test_gradient_check_keeps_central_differences_off_kinks():
+    # exp(2p) bends its one-sided slopes apart by 4 exp(2p) h, under the
+    # kink threshold at this loss scale, so it is scored by the central
+    # difference: a gradient off by the factor 1 + h, which the forward
+    # difference matches to O(h^2), still reads a relative error of h
+    p = Param("p", np.array([0.3, -0.5]))
 
     def loss_fn():
-        return ad.reduce_sum(ad.relu(p))
+        y = np.exp(2.0 * p.data)
+
+        def backward(g):
+            p.accumulate_grad(g * 2.0 * y * (1.0 + 1e-5))
+
+        return ad.reduce_sum(ad._record(Tensor(y), (p,), backward))
 
     report = gradient_check(loss_fn, [p], h=1e-5)
-    assert report.max_rel_error > 0.9
+    assert report.kinks == {}
+    assert 5e-6 < report.max_rel_error < 2e-5
 
 
 def test_gradient_check_report_table():
