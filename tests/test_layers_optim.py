@@ -75,6 +75,20 @@ def test_batchnorm_running_stats_update_and_eval():
     assert np.allclose(y, expected, atol=1e-12)
 
 
+def test_batchnorm_zero_invalid_false_keeps_padded_rows_alive():
+    # padded rows are left out of the statistics but not zeroed: the
+    # masked norm of the attention passes them on under the batch affine
+    r = np.random.default_rng(2)
+    x = r.normal(size=(4, 3, 2))
+    valid = np.ones((4, 3), dtype=bool)
+    valid[:, 2] = False
+    bn = BatchNorm("bn", 2)
+    out = _masked_bn_node(bn, Param("x", x), valid).data
+    assert np.any(out[~valid] != 0.0)
+    mean, var = x[valid].mean(axis=0), x[valid].var(axis=0)
+    assert np.allclose(out[~valid], (x[~valid] - mean) / np.sqrt(var + bn.eps), atol=1e-12)
+
+
 def test_batchnorm_rejects_bad_shapes_and_empty_mask():
     bn = BatchNorm("bn", 3)
     with pytest.raises(ValueError):
