@@ -31,13 +31,13 @@ from .scans import (NUM_CLASSES, MovingPrediction, PanopticPrediction,
 from .synthdata import (ClassProfile, SceneConfig, SurrogateConfig,
                         generate_corpus, generate_scene, surrogate_backbone,
                         surrogate_corpus)
-from .training import (AugmentConfig, AugmentedSample, LossBreakdown,
-                       TrainConfig, augment_scan, scan_rng, train)
+from .training import (AugmentConfig, AugmentedSample, TrainConfig,
+                       augment_scan, scan_rng, train)
 
 __all__ = [
     "AdamW", "AugmentConfig", "AugmentedSample", "BatchNorm", "ClassProfile",
     "ConfigError", "DataError", "DataFormatError", "GradCheckReport", "Linear",
-    "LossBreakdown", "MovingPrediction", "NUM_CLASSES", "Neighborhood",
+    "MovingPrediction", "NUM_CLASSES", "Neighborhood",
     "NetworkConfig", "NumericsError", "PanopticPrediction", "PanopticStats",
     "PositionalEncoder", "RadFinerNet", "RadarScan", "RadiusAttention",
     "SceneConfig", "SemanticClass",

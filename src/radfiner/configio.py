@@ -1,9 +1,9 @@
 """key=value config files and builders for the typed config objects.
 
 One flat file can carry every section: bare keys (d1, d2, radius, nmax,
-classes, seed, ...) configure the network; prefixed keys (scene.*,
-surrogate.*, train.*, augment.*) configure the generator, fault injector,
-schedule and augmentation, and scene.<thing>.* the per-class profiles.
+seed, ...) configure the network; prefixed keys (scene.*, surrogate.*,
+train.*, augment.*) configure the generator, fault injector, schedule and
+augmentation.
 The keys, their types and their defaults all come from the config
 dataclasses; a tuple field is written "lo:hi".  Unknown keys are rejected
 so typos surface instead of silently keeping a default, and a float
@@ -22,45 +22,29 @@ from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, read_text
 from .network import NetworkConfig
-from .scans import CLASS_NAMES
-from .synthdata import SceneConfig, SurrogateConfig, default_profiles
+from .synthdata import SceneConfig, SurrogateConfig
 from .training import AugmentConfig, TrainConfig
 
-# file prefix -> config dataclass; scene.<thing>. holds that class's profile
+# file prefix -> config dataclass
 SECTIONS = (("", NetworkConfig), ("scene.", SceneConfig),
             ("surrogate.", SurrogateConfig), ("train.", TrainConfig),
             ("augment.", AugmentConfig))
 # field name -> file key where the two differ
 _FILE_KEYS = {"n_max": "nmax", "instances_per_scan": "instances"}
-# the profiles have their own scene.<thing>. sections
-_SKIPPED = ("profiles",)
 
 
 def _keys(cfg) -> dict[str, str]:
     """File key (without section prefix) -> field name of one config object."""
-    return {_FILE_KEYS.get(f.name, f.name): f.name
-            for f in fields(cfg) if f.name not in _SKIPPED}
+    return {_FILE_KEYS.get(f.name, f.name): f.name for f in fields(cfg)}
 
 
 def section(cfg) -> dict:
-    """One config object as {file key: value}, without the section prefix;
-    a scene's class profiles nest under the lower-case class name."""
-    out = {key: getattr(cfg, name) for key, name in _keys(cfg).items()}
-    if isinstance(cfg, SceneConfig):
-        out.update((CLASS_NAMES[code], section(p)) for code, p in cfg.profiles.items())
-    return out
-
-
-def _flat(prefix: str, tree: dict):
-    for key, value in tree.items():
-        if isinstance(value, dict):
-            yield from _flat(f"{prefix}{key}.", value)
-        else:
-            yield prefix + key
+    """One config object as {file key: value}, without the section prefix."""
+    return {key: getattr(cfg, name) for key, name in _keys(cfg).items()}
 
 
 def known_keys() -> set[str]:
-    return {key for prefix, cls in SECTIONS for key in _flat(prefix, section(cls()))}
+    return {prefix + key for prefix, cls in SECTIONS for key in _keys(cls)}
 
 
 def parse_config(text: str, where: str = "<config>") -> dict[str, str]:
@@ -141,15 +125,12 @@ def _text(value) -> str:
 
 
 def write_net_config(path, cfg: NetworkConfig) -> None:
-    """The network section of `cfg`, with the derived head widths frozen."""
-    entries = section(cfg) | dict(zip(("head1", "head2", "head3"), cfg.head_widths()))
-    Path(path).write_text("".join(f"{key}={_text(v)}\n" for key, v in entries.items()))
+    """The network section of `cfg`."""
+    Path(path).write_text("".join(f"{key}={_text(v)}\n" for key, v in section(cfg).items()))
 
 
 def scene_config(mapping: dict[str, str], seed=None) -> SceneConfig:
-    profiles = {code: _build(profile, mapping, f"scene.{CLASS_NAMES[code]}.")
-                for code, profile in default_profiles().items()}
-    return _build(SceneConfig(), mapping, "scene.", profiles=profiles,
+    return _build(SceneConfig(), mapping, "scene.",
                   seed=None if seed is None else int(seed))
 
 

@@ -108,29 +108,29 @@ def full_network_check(config=None, seed: int = 1, n_points: int = 20,
     cluster is dense under the default toy radius, RCS/Doppler normal
     with scale 10 (the network conditions its inputs by 0.1, so this
     keeps post-conditioning activations near unit size where the
-    finite-difference step is accurate), random targets over all classes
-    and random instance groupings.  Norm layers run on batch statistics
-    with running-stat tracking frozen, so repeated forwards are bitwise
-    identical while every norm parameter still participates.
+    finite-difference step is accurate), random targets over all
+    `NUM_CLASSES` classes and random instance groupings.  Norm layers run
+    on batch statistics: a training forward updates the running
+    estimates but never reads them, so every norm parameter participates
+    and repeated forwards are bitwise identical.
     """
     from .losses import total_loss
     from .neighborhood import ball_query
     from .network import RadFinerNet, toy_config
-    from .scans import feature_matrix
+    from .scans import NUM_CLASSES, feature_matrix
 
     if n_points < 1:
         raise ConfigError(f"gradcheck needs at least one point, got {n_points}")
     if config is None:
         config = toy_config()
     net = RadFinerNet(config)
-    net.set_bn_tracking(False)
 
     rng = np.random.default_rng(seed)
     coords = rng.uniform(-3.0, 3.0, (n_points, 2))
     rcs = rng.normal(size=n_points) * 10.0
     doppler = rng.normal(size=n_points) * 10.0
     features = feature_matrix(coords * 10.0, rcs, doppler)
-    targets = rng.integers(0, config.classes, n_points)
+    targets = rng.integers(0, NUM_CLASSES, n_points)
     instance_ids = rng.integers(0, 4, n_points)
     nb = ball_query(coords, config.radius, config.n_max)
 

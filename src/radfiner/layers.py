@@ -79,9 +79,9 @@ class BatchNorm(Module):
     Training mode uses biased batch statistics over the rows and folds
     them into the running estimates with `momentum`; it records one tape
     node with the analytic backward (`autodiff.batch_norm`).
-    Eval mode applies the running affine only.  `track_stats` can be
-    switched off to keep repeated forwards (e.g. finite differencing)
-    from drifting the running estimates.
+    Eval mode applies the running affine only.  A training forward
+    updates the running estimates but never reads them, so repeated
+    training forwards (e.g. finite differencing) are bitwise identical.
 
     `eps` and `momentum` are the standard constants of Ioffe & Szegedy
     (arXiv 1502.03167).  Every norm of the network uses them, and the
@@ -99,7 +99,6 @@ class BatchNorm(Module):
         self.beta = Param(f"{name}.beta", np.zeros(width))
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.track_stats = True
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         if x.data.shape[-1] != self.width:
@@ -114,12 +113,10 @@ class BatchNorm(Module):
         return (x - self.running_mean) * inv_np * self.gamma + self.beta
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
-        """Fold one training batch's statistics into the running estimates
-        (unless `track_stats` is off)."""
-        if self.track_stats:
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean.reshape(-1)
-            self.running_var = (1.0 - m) * self.running_var + m * var.reshape(-1)
+        """Fold one training batch's statistics into the running estimates."""
+        m = self.momentum
+        self.running_mean = (1.0 - m) * self.running_mean + m * mean.reshape(-1)
+        self.running_var = (1.0 - m) * self.running_var + m * var.reshape(-1)
 
     def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode folded to one affine map: y = x * scale + shift."""

@@ -9,6 +9,9 @@ Architecture, widths D1 (block 1) and D2 (block 2):
             H1 -> H1 -> H2     the last one halving the width before the
             H2 -> H3 -> C      C-way logits
 
+with H1, H2, H3 = D2/2, D2/4, D2/8 and C = scans.NUM_CLASSES (static
+plus the five moving classes).
+
 Both transformer blocks share one neighborhood (the ball query depends
 only on coordinates).  The residual sits around the attention:
 post_mlp(attention(pre_mlp(x)) + pre_mlp(x)).
@@ -17,7 +20,7 @@ post_mlp(attention(pre_mlp(x)) + pre_mlp(x)).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -36,12 +39,8 @@ HEAD_NORMS = ("bn", "none")
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    d1: int = 64
-    d2: int = 256
-    head1: int = 0  # 0 = derive as d2/2, d2/4, d2/8
-    head2: int = 0
-    head3: int = 0
-    classes: int = NUM_CLASSES
+    d1: int = 64                 # embedding and block 1 width
+    d2: int = 256                # block 2 width; the heads halve it three times
     radius: float = 5.0
     n_max: int = 24
     attn_pad: str = "mask"
@@ -49,7 +48,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d1, self.d2, self.classes) < 1:
+        if min(self.d1, self.d2) < 1:
             raise ConfigError("network widths must be positive")
         if self.radius <= 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
@@ -59,15 +58,12 @@ class NetworkConfig:
             raise ConfigError(f"attn_pad must be one of {PAD_MODES}")
         if self.head_norm not in HEAD_NORMS:
             raise ConfigError(f"head_norm must be one of {HEAD_NORMS}")
-        for name in ("head1", "head2", "head3"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
 
     def head_widths(self) -> tuple[int, int, int]:
-        h1 = self.head1 or max(self.d2 // 2, 1)
-        h2 = self.head2 or max(h1 // 2, 1)
-        h3 = self.head3 or max(h2 // 2, 1)
-        return h1, h2, h3
+        """H1, H2, H3: d2/2, d2/4 and d2/8, each at least 1."""
+        h1 = max(self.d2 // 2, 1)
+        h2 = max(h1 // 2, 1)
+        return h1, h2, max(h2 // 2, 1)
 
 
 def _gelu32(x: np.ndarray) -> np.ndarray:
@@ -143,7 +139,7 @@ class RadFinerNet(Module):
                                        config.attn_pad)
         self.head1 = HeadMLP("head1", config.d2, config.d2, h1, rng, config.head_norm)
         self.head2 = HeadMLP("head2", h1, h1, h2, rng, config.head_norm)
-        self.head3 = HeadMLP("head3", h2, h3, config.classes, rng, config.head_norm)
+        self.head3 = HeadMLP("head3", h2, h3, NUM_CLASSES, rng, config.head_norm)
 
     # -- forward ---------------------------------------------------------
     def _conditioned(self, coords: np.ndarray, features: np.ndarray,
@@ -178,7 +174,7 @@ class RadFinerNet(Module):
         """
         features, nb = self._conditioned(coords, features, nb)
         if len(features) == 0:
-            return Tensor(np.zeros((0, self.config.classes)))
+            return Tensor(np.zeros((0, NUM_CLASSES)))
         with contextlib.nullcontext() if training else ad.no_grad():
             x = self.embed(Tensor(features))
             x = self.block1(x, nb, training)
@@ -200,7 +196,7 @@ class RadFinerNet(Module):
         """
         features, nb = self._conditioned(coords, features, nb)
         if len(features) == 0:
-            return np.zeros((0, self.config.classes), dtype=np.float32)
+            return np.zeros((0, NUM_CLASSES), dtype=np.float32)
         x = self.embed.infer(features.astype(np.float32))
         x = self.block1.infer(x, nb)
         x = self.block2.infer(x, nb)
@@ -213,10 +209,6 @@ class RadFinerNet(Module):
         return np.argmax(self.infer(coords, features), axis=1).astype(np.int64)
 
     # -- state and checkpoints -------------------------------------------
-    def set_bn_tracking(self, flag: bool) -> None:
-        for bn in self.bn_layers():
-            bn.track_stats = flag
-
     def state_entries(self) -> dict[str, np.ndarray]:
         """Checkpoint name -> the live array, for saving and loading alike."""
         entries = {p.name: p.data for p in self.params()}

@@ -270,7 +270,7 @@ def load_scans(path) -> list[RadarScan]:
                 z = float(parts[2])
                 rcs[i], doppler[i] = float(parts[3]), float(parts[4])
                 sem[i], inst[i] = int(parts[5]), int(parts[6])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise reader.error(f"unparseable fields in {' '.join(parts)!r}") from None
             if z != 0.0:
                 raise reader.error(f"nonzero z {z}")
@@ -318,7 +318,7 @@ def load_predictions(path) -> list[MovingPrediction]:
                 inst[i] = int(parts[1])
                 if sem is not None:
                     sem[i] = int(parts[2])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise reader.error(f"unparseable fields in {' '.join(parts)!r}") from None
             if flag not in (0, 1):
                 raise reader.error(f"moving flag must be 0 or 1, got {flag}")

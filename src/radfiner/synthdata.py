@@ -8,19 +8,19 @@ zero.  The surrogate starts from the ground-truth moving mask and injects
 the error modes the refinement stage exists to repair: missed instance
 points, boundary false positives glued to the nearest instance, spurious
 static clusters promoted to instances, and merges of nearby instances.
+The per-class geometry and signal statistics are fixed (`PROFILES`); a
+`SceneConfig` sets only the scene-wide knobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, ValidationError
-from .scans import (NUM_CLASSES, THING_CLASSES, MovingPrediction, RadarScan,
-                    SemanticClass)
+from .errors import ConfigError
+from .scans import THING_CLASSES, MovingPrediction, RadarScan, SemanticClass
 
 
 @dataclass(frozen=True)
@@ -33,35 +33,25 @@ class ClassProfile:
     rcs_mean: float                # dBsm
     rcs_spread: float
 
-    def __post_init__(self):
-        if not (1 <= self.points[0] <= self.points[1]):
-            raise ConfigError(f"bad point-count range {self.points}")
-        if self.extent <= 0:
-            raise ConfigError(f"extent must be positive, got {self.extent}")
-        if not (0 <= self.speed[0] <= self.speed[1]):
-            raise ConfigError(f"bad speed range {self.speed}")
-        if self.rcs_spread <= 0:
-            raise ConfigError(f"rcs_spread must be positive, got {self.rcs_spread}")
 
-
-def default_profiles() -> dict[SemanticClass, ClassProfile]:
-    # Pedestrians and pedestrian groups share signal statistics on purpose:
-    # only cluster size and extent tell them apart, so the classifier has to
-    # use neighborhood geometry, not a per-point threshold.
-    return {
-        SemanticClass.CAR: ClassProfile((4, 12), 1.8, (3.0, 12.0), 6.0, 2.5),
-        SemanticClass.PEDESTRIAN: ClassProfile((1, 4), 0.3, (0.6, 2.0), -4.0, 2.0),
-        SemanticClass.PEDESTRIAN_GROUP: ClassProfile((10, 20), 3.0, (0.6, 2.0), -4.0, 2.0),
-        SemanticClass.BIKE: ClassProfile((2, 6), 0.7, (2.5, 8.0), 1.0, 2.0),
-        SemanticClass.TRUCK: ClassProfile((8, 18), 3.8, (3.0, 10.0), 17.0, 3.0),
-    }
+# Pedestrians and pedestrian groups share signal statistics on purpose:
+# only cluster size and extent tell them apart, so the classifier has to
+# use neighborhood geometry, not a per-point threshold.
+PROFILES = {
+    SemanticClass.CAR: ClassProfile((4, 12), 1.8, (3.0, 12.0), 6.0, 2.5),
+    SemanticClass.PEDESTRIAN: ClassProfile((1, 4), 0.3, (0.6, 2.0), -4.0, 2.0),
+    SemanticClass.PEDESTRIAN_GROUP: ClassProfile((10, 20), 3.0, (0.6, 2.0), -4.0, 2.0),
+    SemanticClass.BIKE: ClassProfile((2, 6), 0.7, (2.5, 8.0), 1.0, 2.0),
+    SemanticClass.TRUCK: ClassProfile((8, 18), 3.8, (3.0, 10.0), 17.0, 3.0),
+}
+# the widest profile, which every placement margin has to fit
+_WIDEST = max(p.extent for p in PROFILES.values())
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     """Knobs for the scene generator.  All distances in meters."""
 
-    profiles: Mapping[SemanticClass, ClassProfile] = field(default_factory=default_profiles)
     instances_per_scan: tuple[int, int] = (3, 6)
     clutter_points: tuple[int, int] = (60, 120)    # free-standing static returns
     near_clutter: tuple[int, int] = (3, 6)         # static returns dropped next to each instance
@@ -91,14 +81,10 @@ class SceneConfig:
             raise ConfigError(f"fov_deg must be in (0, 360], got {self.fov_deg}")
         if not (0 < self.min_range < self.max_range):
             raise ConfigError("need 0 < min_range < max_range")
-        widest = max(p.extent for p in self.profiles.values())
-        if self.max_range - self.min_range < 2.0 * (self.cluster_spread + widest):
+        if self.max_range - self.min_range < 2.0 * (self.cluster_spread + _WIDEST):
             raise ConfigError("range interval too narrow to fit the requested instances")
         if self.doppler_noise <= 0 or self.static_rcs_spread <= 0 or self.near_sigma <= 0:
             raise ConfigError("noise scales must be positive")
-        for code in THING_CLASSES:
-            if code not in self.profiles:
-                raise ConfigError(f"missing class profile for {code.name}")
 
 
 def radial_doppler(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -132,7 +118,7 @@ def generate_scene(config: SceneConfig, seed: int) -> RadarScan:
         sem.append(np.full(len(points), int(code), dtype=np.int64))
         inst.append(np.full(len(points), int(iid), dtype=np.int64))
 
-    margin = config.cluster_spread + max(p.extent for p in config.profiles.values())
+    margin = config.cluster_spread + _WIDEST
     lo = config.min_range + margin
     hi = max(config.max_range - margin, lo + 1e-6)
     n_centers = int(rng.integers(config.clusters[0], config.clusters[1] + 1))
@@ -141,7 +127,7 @@ def generate_scene(config: SceneConfig, seed: int) -> RadarScan:
     n_inst = int(rng.integers(config.instances_per_scan[0], config.instances_per_scan[1] + 1))
     for iid in range(1, n_inst + 1):
         code = THING_CLASSES[rng.integers(len(THING_CLASSES))]
-        prof = config.profiles[code]
+        prof = PROFILES[code]
         if code in (SemanticClass.PEDESTRIAN, SemanticClass.BIKE):
             # lone pedestrians and two-wheelers keep to the margins rather
             # than the traffic hotspots; an isolated, sparse neighborhood is

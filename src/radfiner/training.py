@@ -79,18 +79,6 @@ class TrainConfig:
             raise ConfigError("bad optimizer hyperparameters")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    ce: float
-    lovasz: float
-    consistency: float
-    total: float
-
-    @classmethod
-    def from_parts(cls, ce: float, lovasz: float, consistency: float) -> "LossBreakdown":
-        return cls(ce, lovasz, consistency, ce + lovasz + consistency)
-
-
 @dataclass
 class AugmentedSample:
     """Moving-head training sample; rows past n_original were injected."""
@@ -243,16 +231,14 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                 with _position(epoch, b0 // tcfg.batch_size):
                     opt.step()
             denom = max(n_used, 1)
-            breakdown = LossBreakdown.from_parts(sums["ce"] / denom,
-                                                 sums["lovasz"] / denom,
-                                                 sums["consistency"] / denom)
+            ce, lovasz, consistency = (sums[k] / denom for k in ("ce", "lovasz", "consistency"))
             val_pq, val_miou = float("nan"), float("nan")
             if val_scans is not None:
                 stats = evaluate_split(val_scans, val_preds, net, refine=True)
                 _, val_pq = panoptic_quality(stats)
                 _, val_miou = mean_iou(stats)
-            row = {"epoch": epoch, "ce": breakdown.ce, "lovasz": breakdown.lovasz,
-                   "consistency": breakdown.consistency, "total": breakdown.total,
+            row = {"epoch": epoch, "ce": ce, "lovasz": lovasz, "consistency": consistency,
+                   "total": ce + lovasz + consistency,
                    "val_PQ": val_pq, "val_mIoU": val_miou, "lr": opt.lr}
             history.append(row)
             if hist_fh is not None:
@@ -260,7 +246,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
                 hist_fh.flush()
                 net.save(out_dir / f"ckpt_epoch{epoch:02d}")
             if log is not None:
-                log(f"epoch {epoch:3d}  total {breakdown.total:.4f}  "
+                log(f"epoch {epoch:3d}  total {row['total']:.4f}  "
                     f"val_PQ {val_pq:.4f}  lr {opt.lr:g}  "
                     f"({time.perf_counter() - t0:.1f}s)")
     return net, history

@@ -143,8 +143,7 @@ def test_eval_on_batch_statistics_equals_training(pad_mode):
     for bn in layer.bn_layers():
         bn.momentum = 1.0  # the running estimates become the batch statistics
     layer(Tensor(x), nb, training=True)
-    for bn in layer.bn_layers():
-        bn.track_stats = False
+    # the repeat call re-tracks the same batch statistics
     train_out, train_w = layer(Tensor(x), nb, training=True, return_weights=True)
     eval_out, eval_w = layer(Tensor(x), nb, training=False, return_weights=True)
     for got, want in ((eval_out.data, train_out.data), (eval_w, train_w)):
@@ -198,8 +197,6 @@ def test_attention_gradients(pad_mode):
     # every parameter of one block at D=8 over 12 points
     x, nb, layer = _random_setup(14, n=12, d=8, n_max=4, pad_mode=pad_mode)
     xt = Param("x", x)
-    for bn in layer.bn_layers():
-        bn.track_stats = False
     w = np.random.default_rng(5).normal(size=(12, 8))
 
     def loss_fn():

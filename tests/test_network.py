@@ -9,6 +9,7 @@ from radfiner.attention import TILE_ROWS
 from radfiner.errors import ConfigError, DataFormatError
 from radfiner.gradcheck import gradient_check
 from radfiner.network import NetworkConfig, RadFinerNet, toy_config
+from radfiner.scans import NUM_CLASSES
 
 
 def _scan(seed=0, n=7):
@@ -25,7 +26,7 @@ def test_config_validation_and_head_widths():
     cfg = NetworkConfig(d1=64, d2=256)
     assert cfg.head_widths() == (128, 64, 32)
     assert NetworkConfig(d1=32, d2=64).head_widths() == (32, 16, 8)
-    assert NetworkConfig(head1=10, head2=6, head3=4).head_widths() == (10, 6, 4)
+    assert NetworkConfig(d2=4).head_widths() == (2, 1, 1)
     with pytest.raises(ConfigError):
         NetworkConfig(radius=-1.0)
     with pytest.raises(ConfigError):
@@ -205,13 +206,12 @@ def test_infer_calls_every_stage_once():
 def test_infer_empty_input():
     net = RadFinerNet(toy_config())
     out = net.infer(np.zeros((0, 2)), np.zeros((0, 5)))
-    assert out.shape == (0, net.config.classes)
+    assert out.shape == (0, NUM_CLASSES)
 
 
 def test_network_gradients_spot_check():
     cfg = toy_config(seed=2)
     net = RadFinerNet(cfg)
-    net.set_bn_tracking(False)
     coords, feats = _scan(4, n=6)
     rng = np.random.default_rng(8)
     w = rng.normal(size=(6, 6))

@@ -11,12 +11,12 @@ import pytest
 import radfiner
 from radfiner import blas, pipeline, training
 from radfiner.errors import ConfigError, NumericsError
-from radfiner.network import NetworkConfig, RadFinerNet, toy_config
+from radfiner.network import RadFinerNet, toy_config
 from radfiner.scans import RadarScan, SemanticClass
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 generate_scene, surrogate_corpus)
-from radfiner.training import (AugmentConfig, LossBreakdown, TrainConfig,
-                               _epoch_lr, augment_scan, scan_rng, train)
+from radfiner.training import (AugmentConfig, TrainConfig, _epoch_lr,
+                               augment_scan, scan_rng, train)
 
 CAR = int(SemanticClass.CAR)
 
@@ -56,12 +56,6 @@ def test_train_config_validation():
         TrainConfig(lr_drop_epoch=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=-1.0)
-
-
-def test_loss_breakdown_total_is_exact_sum():
-    parts = (0.1, 0.2, 0.30000000000000004)
-    lb = LossBreakdown.from_parts(*parts)
-    assert lb.total == parts[0] + parts[1] + parts[2]
 
 
 def test_schedule_default_drop():
@@ -219,7 +213,10 @@ def test_nonfinite_gradient_reports_position(monkeypatch):
 def test_checkpoints_and_history_written(tmp_path):
     scans, net = _tiny_setup()
     tcfg = TrainConfig(epochs=2, batch_size=2, lr=0.001, lr_drop_epoch=1, seed=0)
-    train(scans, net, tcfg, AugmentConfig(), out_dir=tmp_path)
+    _, history = train(scans, net, tcfg, AugmentConfig(), out_dir=tmp_path)
+    assert len(history) == 2
+    for row in history:  # the reported total is the exact sum of the parts
+        assert row["total"] == row["ce"] + row["lovasz"] + row["consistency"]
     assert (tmp_path / "history.csv").exists()
     assert (tmp_path / "ckpt_epoch01").exists()
     assert (tmp_path / "ckpt_epoch02").exists()
