@@ -32,12 +32,12 @@ is empty, because slot 0, the anchor itself, is always valid.  The modes
 differ only in the norms.  In training mode they use the batch
 statistics, taken over the valid rows, through
 `autodiff.bn_forward`/`bn_backward` (shared with `BatchNorm`), and the
-call records one tape node, with parents x and the layer's 13
-parameters and an analytic backward; the backward scatters the gathered
-rows' gradients to the points with one `np.bincount` per array.  In eval
-mode (training=False) each norm is the affine map of its running
-statistics, and the call returns a constant that nothing differentiates:
-it is the reference that `infer` is tested against.
+call records one tape node, with parents x and `self.params()` and an
+analytic backward; the backward scatters the gathered rows' gradients
+to the points with one `np.bincount` per array.  In eval mode
+(training=False) each norm is the affine map of `BatchNorm.eval_affine`,
+and the call returns a constant that nothing differentiates: it is the
+reference that `infer` is tested against.
 
 The tape-free `RadiusAttention.infer` computes the per-point maps once
 per scan and then the per-(anchor, slot) rows in tiles of about
@@ -69,7 +69,7 @@ TILE_ROWS = 768
 
 class PositionalEncoder(Module):
     """W1, bn and W2 of R = relu(bn(rel_pos @ W1)) @ W2 (no biases), which
-    `RadiusAttention` computes in its pair forward."""
+    `RadiusAttention.__call__` and `infer` compute."""
 
     def __init__(self, name: str, d_out: int, rng: np.random.Generator):
         self.w1 = Param(f"{name}.w1", glorot(rng, 2, 2))
@@ -99,16 +99,6 @@ class RadiusAttention(Module):
             raise ConfigError(
                 f"attention input {x.data.shape} does not match "
                 f"({nb.n_points}, {self.width})")
-        out, weights = self._pairs(x, nb, training, return_weights)
-        if return_weights:
-            return out, weights
-        return out
-
-    def _pairs(self, x: Tensor, nb: Neighborhood, training: bool,
-               return_weights: bool):
-        """Forward over the selected pairs (see the module docstring);
-        returns (out, padded weights or None).  Training records one tape
-        node; eval returns a constant."""
         n, m = nb.indices.shape
         pos, bn1, bn2 = self.pos, self.mlp_bn1, self.mlp_bn2
         if self.pad_mode == "mask":
@@ -152,23 +142,9 @@ class RadiusAttention(Module):
         e = np.exp(logits - np.maximum.reduceat(logits, starts)[anchor])
         w = e / np.add.reduceat(e, starts)[anchor]
         vr = vg + r
-        summed = np.add.reduceat(w * vr, starts)
-        weights = None
-        if return_weights:
-            weights = w
-            if stat is None:  # exact zeros at the padded slots
-                weights = np.zeros((n * m, self.width))
-                weights[nb.valid.reshape(-1)] = w
-            weights = weights.reshape(n, m, self.width)
-        if not training:
-            return Tensor(summed), weights
-
-        c0, c1, c2 = caches
-        params = (self.wq, self.wk, self.wv, pos.w1, pos.bn.gamma, pos.bn.beta,
-                  pos.w2, self.mlp_w1, bn1.gamma, bn1.beta, self.mlp_w2,
-                  bn2.gamma, bn2.beta)
 
         def backward(g):
+            c0, c1, c2 = caches
             gp = g[anchor]
             dvr = w * gp
             # softmax backward in the form of autodiff.softmax
@@ -190,14 +166,24 @@ class RadiusAttention(Module):
             gqk, gv = (np.bincount(keys, weights=d.reshape(-1), minlength=n * self.width)
                        .reshape(n, self.width) for d in (dqk, dvg))
             d_wq = xd.T @ gqk
+            # in the order of self.params(): the order the attributes are set
             grads = (d_wq, -d_wq, xd.T @ gv, rel.T @ dhp, dgamma0, dbeta0, d_pos_w2,
                      d_w1, dgamma1, dbeta1, d_w2, dgamma2, dbeta2)
-            for p, grad in zip(params, grads):
+            for p, grad in zip(self.params(), grads):
                 p.accumulate_grad(grad)
             if x.requires_grad:
                 x.accumulate_grad(gqk @ wqk.T + gv @ wv.T)
 
-        return ad._record(Tensor(summed), (x, *params), backward), weights
+        out = Tensor(np.add.reduceat(w * vr, starts))
+        if training:
+            out = ad._record(out, (x, *self.params()), backward)
+        if not return_weights:
+            return out
+        weights = w
+        if stat is None:  # exact zeros at the padded slots
+            weights = np.zeros((n * m, self.width))
+            weights[nb.valid.reshape(-1)] = w
+        return out, weights.reshape(n, m, self.width)
 
     def infer(self, x: np.ndarray, nb: Neighborhood) -> np.ndarray:
         """Eval-mode attention in single precision without the tape.

@@ -283,21 +283,19 @@ def bn_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return xhat * gamma + beta, mean, var, (u, xhat, inv, m, count, gamma)
 
 
-def bn_backward(g: np.ndarray, cache, need_dx: bool = True):
+def bn_backward(g: np.ndarray, cache):
     """``(dx, dgamma, dbeta)`` of `bn_forward` for the output gradient g.
 
     The standard analytic backward (Ioffe & Szegedy, arXiv 1502.03167)
     with the statistics over the valid rows (m = mask, or 1 without one):
     dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count, where
     dxhat = g * gamma, dmean = -inv * sum(dxhat) and
-    dvar = -inv**3 / 2 * sum(dxhat * u).  dx is None unless `need_dx`.
+    dvar = -inv**3 / 2 * sum(dxhat * u).
     """
     u, xhat, inv, m, count, gamma = cache
     axes = tuple(range(g.ndim - 1))
     dgamma = (g * xhat).sum(axis=axes)
     dbeta = g.sum(axis=axes)
-    if not need_dx:
-        return None, dgamma, dbeta
     dxhat = g * gamma
     dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
     dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
@@ -315,12 +313,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, None, eps)
 
     def backward(g):
-        dx, dgamma, dbeta = bn_backward(g, cache, need_dx=x.requires_grad)
+        dx, dgamma, dbeta = bn_backward(g, cache)
         if gamma.requires_grad:
             gamma.accumulate_grad(dgamma)
         if beta.requires_grad:
             beta.accumulate_grad(dbeta)
-        if dx is not None:
+        if x.requires_grad:
             x.accumulate_grad(dx)
 
     return _record(Tensor(out), (x, gamma, beta), backward), mean, var

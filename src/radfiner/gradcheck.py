@@ -121,6 +121,8 @@ def full_network_check(config=None, seed: int = 1, n_points: int = 20,
 
     if n_points < 1:
         raise ConfigError(f"gradcheck needs at least one point, got {n_points}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if config is None:
         config = toy_config()
     net = RadFinerNet(config)

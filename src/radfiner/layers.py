@@ -9,14 +9,15 @@ or dict would not be found.
 
 BatchNorm here normalizes over every leading axis (all rows), with the
 last axis as channels.  In training mode a BatchNorm call is one tape
-node with the analytic backward; eval mode composes tape primitives from
-the running statistics.  The training math lives once, in
-`autodiff.bn_forward` and `autodiff.bn_backward`: the BatchNorm node
-and the pair forward of `attention.RadiusAttention` both call them, and
-both fold the batch statistics into the running estimates through
-`BatchNorm.track`.  Only the attention restricts the statistics to the
-valid rows of a padded neighborhood (`bn_forward`'s mask); it applies
-the eval-mode norms itself, through `BatchNorm.eval_affine`.
+node with the analytic backward; in eval mode it returns a constant.
+The training math lives once, in `autodiff.bn_forward` and
+`autodiff.bn_backward`: the BatchNorm node and the forward of
+`attention.RadiusAttention` both call them, and both fold the batch
+statistics into the running estimates through `BatchNorm.track`.  Only
+the attention restricts the statistics to the valid rows of a padded
+neighborhood (`bn_forward`'s mask).  The eval math lives once too, in
+`BatchNorm.eval_affine`: the eval BatchNorm call, the attention's eval
+norms and `fold_bn` all apply its affine map.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class BatchNorm(Module):
     Training mode uses biased batch statistics over the rows and folds
     them into the running estimates with `momentum`; it records one tape
     node with the analytic backward (`autodiff.batch_norm`).
-    Eval mode applies the running affine only.  A training forward
+    Eval mode applies the running affine of `eval_affine` and returns a
+    constant that records no tape node.  A training forward
     updates the running estimates but never reads them, so repeated
     training forwards (e.g. finite differencing) are bitwise identical.
 
@@ -108,9 +110,8 @@ class BatchNorm(Module):
             out, mean, var = ad.batch_norm(x, self.gamma, self.beta, self.eps)
             self.track(mean, var)
             return out
-
-        inv_np = 1.0 / np.sqrt(self.running_var + self.eps)
-        return (x - self.running_mean) * inv_np * self.gamma + self.beta
+        scale, shift = self.eval_affine()
+        return Tensor(x.data * scale + shift)
 
     def track(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one training batch's statistics into the running estimates."""

@@ -2,7 +2,7 @@
 
 Architecture, widths D1 (block 1) and D2 (block 2):
 
-  embed     5 -> D1            linear-GELU-linear
+  embed     5 -> D1            MLP, linear-GELU-linear
   block 1   D1 -> D1           pre-MLP, radius attention, residual, post-MLP
   block 2   D1 -> D2           same, pre-MLP raises the width
   heads     D2 -> D2 -> H1     three MLPs, each linear-BN-GELU-linear,
@@ -10,7 +10,8 @@ Architecture, widths D1 (block 1) and D2 (block 2):
             H2 -> H3 -> C      C-way logits
 
 with H1, H2, H3 = D2/2, D2/4, D2/8 and C = scans.NUM_CLASSES (static
-plus the five moving classes).
+plus the five moving classes).  Every MLP is one `MLP` class: embed,
+pre and post build it without the norm, the heads with `head_norm`.
 
 Both transformer blocks share one neighborhood (the ball query depends
 only on coordinates).  The residual sits around the attention:
@@ -58,6 +59,8 @@ class NetworkConfig:
             raise ConfigError(f"attn_pad must be one of {PAD_MODES}")
         if self.head_norm not in HEAD_NORMS:
             raise ConfigError(f"head_norm must be one of {HEAD_NORMS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def head_widths(self) -> tuple[int, int, int]:
         """H1, H2, H3: d2/2, d2/4 and d2/8, each at least 1."""
@@ -66,29 +69,8 @@ class NetworkConfig:
         return h1, h2, max(h2 // 2, 1)
 
 
-def _gelu32(x: np.ndarray) -> np.ndarray:
-    # exact Gaussian-CDF form, matching the tape op
-    x *= 0.5 * (1.0 + erf(x * np.float32(np.sqrt(0.5))))
-    return x
-
-
-class FeedForward(Module):
-    """linear -> GELU -> linear, biases on."""
-
-    def __init__(self, name: str, d_in: int, d_mid: int, d_out: int,
-                 rng: np.random.Generator):
-        self.lin1 = Linear(f"{name}.lin1", d_in, d_mid, rng)
-        self.lin2 = Linear(f"{name}.lin2", d_mid, d_out, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(ad.gelu(self.lin1(x)))
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.lin2.infer(_gelu32(self.lin1.infer(x)))
-
-
-class HeadMLP(Module):
-    """linear -> [BN] -> GELU -> linear.
+class MLP(Module):
+    """linear -> [BN] -> GELU -> linear; `norm` is "bn" or "none".
 
     With the norm present the first linear drops its bias: BN's beta
     would absorb it, leaving a parameter with an identically zero
@@ -101,22 +83,24 @@ class HeadMLP(Module):
         self.bn = BatchNorm(f"{name}.bn", d_mid) if norm == "bn" else None
         self.lin2 = Linear(f"{name}.lin2", d_mid, d_out, rng)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         h = self.lin1(x)
         if self.bn is not None:
             h = self.bn(h, training=training)
         return self.lin2(ad.gelu(h))
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.lin2.infer(_gelu32(self.lin1.infer(x, self.bn)))
+        h = self.lin1.infer(x, self.bn)
+        h *= 0.5 * (1.0 + erf(h * np.float32(np.sqrt(0.5))))  # exact GELU, as the tape's
+        return self.lin2.infer(h)
 
 
 class TransformerBlock(Module):
     def __init__(self, name: str, d_in: int, d_model: int,
                  rng: np.random.Generator, pad_mode: str):
-        self.pre = FeedForward(f"{name}.pre", d_in, d_model, d_model, rng)
+        self.pre = MLP(f"{name}.pre", d_in, d_model, d_model, rng, "none")
         self.attn = RadiusAttention(f"{name}.attn", d_model, rng, pad_mode)
-        self.post = FeedForward(f"{name}.post", d_model, d_model, d_model, rng)
+        self.post = MLP(f"{name}.post", d_model, d_model, d_model, rng, "none")
 
     def __call__(self, x: Tensor, nb: Neighborhood, training: bool) -> Tensor:
         h = self.pre(x)
@@ -132,14 +116,14 @@ class RadFinerNet(Module):
         self.config = config
         rng = np.random.default_rng(config.seed)
         h1, h2, h3 = config.head_widths()
-        self.embed = FeedForward("embed", N_FEATURES, config.d1, config.d1, rng)
+        self.embed = MLP("embed", N_FEATURES, config.d1, config.d1, rng, "none")
         self.block1 = TransformerBlock("block1", config.d1, config.d1, rng,
                                        config.attn_pad)
         self.block2 = TransformerBlock("block2", config.d1, config.d2, rng,
                                        config.attn_pad)
-        self.head1 = HeadMLP("head1", config.d2, config.d2, h1, rng, config.head_norm)
-        self.head2 = HeadMLP("head2", h1, h1, h2, rng, config.head_norm)
-        self.head3 = HeadMLP("head3", h2, h3, NUM_CLASSES, rng, config.head_norm)
+        self.head1 = MLP("head1", config.d2, config.d2, h1, rng, config.head_norm)
+        self.head2 = MLP("head2", h1, h1, h2, rng, config.head_norm)
+        self.head3 = MLP("head3", h2, h3, NUM_CLASSES, rng, config.head_norm)
 
     # -- forward ---------------------------------------------------------
     def _conditioned(self, coords: np.ndarray, features: np.ndarray,

@@ -46,6 +46,9 @@ PROFILES = {
 }
 # the widest profile, which every placement margin has to fit
 _WIDEST = max(p.extent for p in PROFILES.values())
+# most points a config may allow in one scan: 80x configs/bench.cfg's 1210,
+# the most crowded recipe, and still a fraction of a second to generate
+MAX_SCAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,13 @@ class SceneConfig:
                                (self.clusters, "clusters")):
             if not (0 <= rng_pair[0] <= rng_pair[1]):
                 raise ConfigError(f"bad {what} range {rng_pair}")
+        most_points = max(p.points[1] for p in PROFILES.values())
+        most = (self.instances_per_scan[1] * (most_points + self.near_clutter[1])
+                + self.clutter_points[1])
+        if most > MAX_SCAN_POINTS:
+            raise ConfigError(f"instances_per_scan {self.instances_per_scan}, near_clutter "
+                              f"{self.near_clutter} and clutter_points {self.clutter_points} "
+                              f"allow {most} points per scan, over {MAX_SCAN_POINTS}")
         if self.instances_per_scan[1] < 1 and self.clutter_points[1] < 1:
             raise ConfigError("scene would always be empty")
         if self.clusters[0] < 1:
@@ -85,6 +95,8 @@ class SceneConfig:
             raise ConfigError("range interval too narrow to fit the requested instances")
         if self.doppler_noise <= 0 or self.static_rcs_spread <= 0 or self.near_sigma <= 0:
             raise ConfigError("noise scales must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def radial_doppler(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -202,6 +214,8 @@ class SurrogateConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if self.merge_gap <= 0 or self.boundary_reach <= 0:
             raise ConfigError("merge_gap and boundary_reach must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _merge_nearby(xy: np.ndarray, moving: np.ndarray, ids: np.ndarray,

@@ -77,6 +77,8 @@ class TrainConfig:
                 f"lr_drop_epoch must be >= 1, got {self.lr_drop_epoch}")
         if self.lr <= 0 or self.lr_drop_factor < 1 or self.weight_decay < 0:
             raise ConfigError("bad optimizer hyperparameters")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -69,6 +69,12 @@ def test_batchnorm_running_stats_update_and_eval():
     y = bn(Tensor(x), training=False).data
     expected = 2.0 * (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) + 1.0
     assert np.allclose(y, expected, atol=1e-12)
+    # the eval map is eval_affine()'s, bit for bit, and a constant even
+    # for an input that needs a gradient outside no_grad
+    out = bn(Param("x", x), training=False)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    scale, shift = bn.eval_affine()
+    assert np.array_equal(out.data, x * scale + shift)
 
 
 def test_batchnorm_zero_invalid_false_keeps_padded_rows_alive():
@@ -134,6 +140,11 @@ def test_attention_training_call_is_one_tape_node(pad_mode):
     assert len(out._parents) == 14
     assert all(a is b for a, b in zip(out._parents, (x, *layer.params())))
     assert all(p._backward is None for p in out._parents)
+    # the backward's gradient tuple is written in this walk order
+    assert [p.name for p in out._parents[1:]] == [f"attn.{n}" for n in (
+        "wq", "wk", "wv", "pos.w1", "pos.bn.gamma", "pos.bn.beta", "pos.w2",
+        "mlp_w1", "mlp_bn1.gamma", "mlp_bn1.beta", "mlp_w2",
+        "mlp_bn2.gamma", "mlp_bn2.beta")]
 
 
 def _pow_node(a, c):

@@ -1,6 +1,8 @@
 """End-to-end plumbing: evaluation pipeline, CLI contracts, exit codes."""
 
 import json
+import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -409,7 +411,13 @@ def test_non_finite_values_exit_two(tmp_path, capsys):
     ("train", "scene.near_sigma = nan\nsurrogate.eps_miss = inf\n"),
     ("train", "train.lr = nan\n"),  # rejected though --lr overrides it
     ("eval", "d1 = 8\nd2 = 16\nsurrogate.eps_miss = 2\n"),
-], ids=["train-unused-sections", "train-flag-overridden", "eval-net-config"])
+    ("train", "seed = -1\n"),
+    ("train", "scene.seed = -1\n"),
+    ("train", "surrogate.seed = -1\n"),
+    ("train", "train.seed = -1\n"),
+], ids=["train-unused-sections", "train-flag-overridden", "eval-net-config",
+        "negative-net-seed", "negative-scene-seed", "negative-surrogate-seed",
+        "negative-train-seed"])
 def test_bad_value_in_any_config_section_exits_two(tmp_path, capsys, command, text):
     data = tmp_path / "data"
     assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
@@ -425,6 +433,26 @@ def test_bad_value_in_any_config_section_exits_two(tmp_path, capsys, command, te
     assert cli.main(argv) == 2
     assert f"error: {cfg}: " in capsys.readouterr().err
     assert not run.exists()
+
+
+@pytest.mark.parametrize("key, field", [("instances", "instances_per_scan"),
+                                        ("near_clutter", "near_clutter"),
+                                        ("clutter_points", "clutter_points")])
+def test_huge_scene_count_range_exits_two(tmp_path, capsys, key, field):
+    huge = (0, 2 ** 63 - 1)
+    named = f"{field} {huge}"
+    # the config object refuses it first, so a missing bound fails here
+    # instead of generating a scan of 2**63 points
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        SceneConfig(**{field: huge})
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"scene.{key} = {huge[0]}:{huge[1]}\n")
+    t0 = time.perf_counter()
+    assert cli.main(["generate", "--out", str(tmp_path / "gen"), "--count", "1",
+                     "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("target", ["config", "scans", "predictions", "checkpoint"])
@@ -457,12 +485,21 @@ class _PoisonedAdamW(training.AdamW):
     (["gradcheck", "--tol", "inf"], False, 2),
     (["gradcheck", "--tol", "-1"], False, 2),
     (["gradcheck", "--tol", "0"], False, 2),
+    (["gradcheck", "--seed", "-1"], False, 2),
+    (["gradcheck", "--net-seed", "-1"], False, 2),
     (["generate", "--out", "{tmp}/gen", "--count", "2", "--workers", "0"], False, 2),
+    (["generate", "--out", "{tmp}/gen", "--count", "2", "--seed", "-1"], False, 2),
+    (["generate", "--out", "{tmp}/gen", "--count", "2", "--surrogate-seed", "-1"], False, 2),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
+      "--d1", "8", "--d2", "16", "--quiet", "--seed", "-1"], False, 2),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
+      "--d1", "8", "--d2", "16", "--quiet", "--net-seed", "-1"], False, 2),
     (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
       "--d1", "8", "--d2", "16", "--quiet"], True, 3),
 ], ids=["gradcheck-points", "gradcheck-h", "gradcheck-tol-nan", "gradcheck-tol-inf",
-        "gradcheck-tol-negative", "gradcheck-tol-zero", "generate-workers",
-        "adamw-nan-grad"])
+        "gradcheck-tol-negative", "gradcheck-tol-zero", "gradcheck-seed",
+        "gradcheck-net-seed", "generate-workers", "generate-seed", "generate-surrogate-seed",
+        "train-seed", "train-net-seed", "adamw-nan-grad"])
 def test_failures_end_in_their_exit_code(tmp_path, monkeypatch, argv, poison, code):
     assert cli.main(["generate", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
     if poison:
