@@ -13,7 +13,7 @@ import numpy as np
 from radfiner.metrics import panoptic_quality, scan_stats
 from radfiner.network import NetworkConfig, RadFinerNet
 from radfiner.pipeline import predict_panoptic
-from radfiner.scans import CLASS_NAMES, select_moving
+from radfiner.scans import CLASS_NAMES, NUM_CLASSES, select_moving
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 surrogate_corpus)
 from radfiner.training import AugmentConfig, TrainConfig, train
@@ -24,7 +24,7 @@ def segment_table(sem, inst, gt_sem):
     for iid in np.unique(inst[inst > 0]):
         sel = inst == iid
         code = int(sem[sel][0])
-        truth = np.bincount(gt_sem[sel], minlength=6)
+        truth = np.bincount(gt_sem[sel], minlength=NUM_CLASSES)
         rows.append((int(iid), CLASS_NAMES[code], int(sel.sum()),
                      CLASS_NAMES[int(truth.argmax())]))
     return rows

@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from radfiner.scans import CLASS_NAMES
+from radfiner.scans import CLASS_NAMES, NUM_CLASSES
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_scene,
                                 radial_doppler, surrogate_backbone)
 
@@ -24,7 +24,7 @@ def main() -> None:
           f"{scan.instance.max()} moving instances\n")
 
     print("class composition")
-    for code in range(6):
+    for code in range(NUM_CLASSES):
         n = int(np.sum(scan.sem == code))
         if n:
             print(f"  {CLASS_NAMES[code]:>16}: {n:4d} points")

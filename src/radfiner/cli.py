@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: generate (scenes + surrogate predictions), train, eval,
-gradcheck, bench.  Every run writes a JSON manifest holding the resolved
-configuration, seeds, paths, version and wall-clock timings, so it can be
-reproduced exactly.  Exit codes: 0 success, 1 usage error, 2 data or
-validation error, 3 numerical failure.
+gradcheck, bench.  Network, scene, schedule and augmentation settings come
+from the --config / --net-config file alone (see configio).  Every run
+writes a JSON manifest holding the resolved configuration, seeds, paths,
+version and wall-clock timings, so it can be reproduced exactly.  Exit
+codes: 0 success, 1 usage error, 2 data or validation error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blas, configio
-from .attention import PAD_MODES
 from .errors import ConfigError, DataError, NumericsError
 from .gradcheck import full_network_check
 from .metrics import format_report, mean_iou, panoptic_quality, write_metrics_csv
-from .network import HEAD_NORMS, RadFinerNet, toy_config
+from .network import RadFinerNet, toy_config
 from .pipeline import bench_pipeline, predict_split, score_split
 from .scans import (MovingPrediction, load_predictions, load_scans,
                     save_predictions, save_scans)
 from .synthdata import generate_corpus, generate_scene, surrogate_corpus
-from .training import CLUTTER_SOURCES, train
+from .training import train
 
 SCANS_FILE = "scans.txt"
 PREDS_FILE = "surrogate.txt"
@@ -150,15 +151,9 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     mapping = configio.load_config(args.config) if args.config else {}
-    net_cfg = configio.net_config(
-        mapping, d1=args.d1, d2=args.d2, radius=args.radius, n_max=args.nmax,
-        attn_pad=args.attn_pad, head_norm=args.head_norm, seed=args.net_seed)
-    tcfg = configio.train_config(
-        mapping, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        lr_drop_epoch=args.lr_drop_epoch, seed=args.seed)
-    acfg = configio.augment_config(
-        mapping, p_instance=args.p_instance, p_scan=args.p_scan,
-        clutter_source=args.clutter_source)
+    net_cfg = configio.net_config(mapping)
+    tcfg = configio.train_config(mapping)
+    acfg = configio.augment_config(mapping)
 
     train_scans = load_scans(Path(args.data) / SCANS_FILE)
     val_scans = val_preds = None
@@ -189,17 +184,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """Scores the network of --checkpoint, or without one the backbone
+    predictions as they are."""
     t0 = time.perf_counter()
-    if args.source == "checkpoint" and not args.checkpoint:
-        raise _UsageError("--source checkpoint requires --checkpoint")
+    if not args.checkpoint and (args.refine or args.net_config):
+        raise _UsageError("--refine and --net-config need --checkpoint")
     scans, preds = _load_split(Path(args.data))
-    if args.source == "surrogate":
-        net = None
-        refine = False
-    else:
-        net = _net_from_args(args, Path(args.checkpoint))
-        refine = args.refine
-    results = predict_split(scans, preds, net, refine=refine, workers=args.workers)
+    net = _net_from_args(args, Path(args.checkpoint)) if args.checkpoint else None
+    results = predict_split(scans, preds, net, refine=args.refine, workers=args.workers)
     stats = score_split(results)
     report = format_report(stats)
     print(report)
@@ -208,15 +200,14 @@ def _cmd_eval(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(stats, out_dir / "metrics.csv")
         (out_dir / "report.txt").write_text(report + "\n")
-        if net is not None and args.refine:
+        if args.refine:
             save_predictions([MovingPrediction(scan.scan_id, pan.instance > 0,
                                                pan.instance, pan.sem)
                               for scan, pan in results], out_dir / "refined.txt")
         _write_manifest(out_dir, "eval",
-                        {"data": args.data, "source": args.source,
-                         "checkpoint": args.checkpoint, "refine": refine,
-                         "workers": args.workers, "blas_threads": _blas_threads(),
-                         "out": str(out_dir)},
+                        {"data": args.data, "checkpoint": args.checkpoint,
+                         "refine": args.refine, "workers": args.workers,
+                         "blas_threads": _blas_threads(), "out": str(out_dir)},
                         {"total": time.perf_counter() - t0})
     pq, mean_pq = panoptic_quality(stats)
     _, miou = mean_iou(stats)
@@ -234,7 +225,7 @@ def _cmd_gradcheck(args) -> int:
     if args.net_config is not None:
         cfg = configio.net_config(configio.load_config(args.net_config))
     else:
-        cfg = toy_config(d1=args.d1, d2=args.d2, seed=args.net_seed)
+        cfg = toy_config()
     report = full_network_check(cfg, seed=args.seed, n_points=args.points, h=args.h)
     print(report.format_table())
     elapsed = time.perf_counter() - t0
@@ -315,28 +306,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--val", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-drop-epoch", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d1", type=int, default=None)
-    p.add_argument("--d2", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--attn-pad", choices=PAD_MODES, default=None)
-    p.add_argument("--head-norm", choices=HEAD_NORMS, default=None)
-    p.add_argument("--net-seed", type=int, default=None)
-    p.add_argument("--p-instance", type=float, default=None)
-    p.add_argument("--p-scan", type=float, default=None)
-    p.add_argument("--clutter-source", choices=CLUTTER_SOURCES, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a split")
     p.add_argument("--data", required=True)
-    p.add_argument("--source", choices=("surrogate", "checkpoint"),
-                   default="checkpoint")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--net-config", default=None)
     p.add_argument("--refine", action="store_true")
@@ -348,9 +322,6 @@ def _build_parser() -> _Parser:
                                          "parameter tensor")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--d1", type=int, default=8)
-    p.add_argument("--d2", type=int, default=16)
-    p.add_argument("--net-seed", type=int, default=0)
     p.add_argument("--net-config", default=None)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -7,11 +7,11 @@ augmentation.
 The keys, their types and their defaults all come from the config
 dataclasses; a tuple field is written "lo:hi".  Unknown keys are rejected
 so typos surface instead of silently keeping a default, and a float
-that is not finite (nan, inf) is rejected, from a file or a flag alike.
-Loading a file builds every section of it once, so a bad value is
-rejected even in a section the loading command does not use, and even
-where a flag would override it.
-configs/default.cfg in the repository lists every key.
+that is not finite (nan, inf) is rejected.  Loading a file builds every
+section of it once, so a bad value is rejected even in a section the
+loading command does not use.  A config file is the one way to set these
+values from the command line; configs/default.cfg in the repository
+lists every key.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _build(base, mapping: dict[str, str], prefix: str, **overrides):
     return replace(base, **changes)
 
 
-def net_config(mapping: dict[str, str], **overrides) -> NetworkConfig:
-    return _build(NetworkConfig(), mapping, "", **overrides)
+def net_config(mapping: dict[str, str]) -> NetworkConfig:
+    return _build(NetworkConfig(), mapping, "")
 
 
 def _text(value) -> str:
@@ -143,5 +143,5 @@ def train_config(mapping: dict[str, str], **overrides) -> TrainConfig:
     return _build(TrainConfig(), mapping, "train.", **overrides)
 
 
-def augment_config(mapping: dict[str, str], **overrides) -> AugmentConfig:
-    return _build(AugmentConfig(), mapping, "augment.", **overrides)
+def augment_config(mapping: dict[str, str]) -> AugmentConfig:
+    return _build(AugmentConfig(), mapping, "augment.")

@@ -90,8 +90,7 @@ def panoptic_quality(stats: PanopticStats):
     denom = stats.tp + 0.5 * stats.fp + 0.5 * stats.fn
     pq = np.full(NUM_CLASSES, np.nan)
     pq[occurs] = stats.tp_iou[occurs] / denom[occurs]
-    mean = float(np.mean(pq[occurs])) if np.any(occurs) else float("nan")
-    return pq, mean
+    return pq, _mean(pq)
 
 
 def mean_iou(stats: PanopticStats):
@@ -103,8 +102,7 @@ def mean_iou(stats: PanopticStats):
     iou = np.full(NUM_CLASSES, np.nan)
     present = denom > 0
     iou[present] = diag[present] / denom[present]
-    mean = float(np.mean(iou[present])) if np.any(present) else float("nan")
-    return iou, mean
+    return iou, _mean(iou)
 
 
 def _mean(values: np.ndarray) -> float:

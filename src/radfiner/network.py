@@ -36,6 +36,12 @@ from .neighborhood import Neighborhood, ball_query
 from .scans import N_FEATURES, NUM_CLASSES
 
 HEAD_NORMS = ("bn", "none")
+# widest d1/d2 a config may ask for: 16x the paper's 256, where head 1's
+# d2 x d2 weight matrix alone is already 128 MB of float64
+MAX_WIDTH = 4096
+# most neighbor slots a config may ask for: 10x the paper's 24; every
+# anchor carries each slot through both attention layers
+MAX_NEIGHBORS = 256
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,14 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d1, self.d2) < 1:
-            raise ConfigError("network widths must be positive")
+        for name in ("d1", "d2"):
+            if not 1 <= getattr(self, name) <= MAX_WIDTH:
+                raise ConfigError(f"{name} must be in [1, {MAX_WIDTH}], "
+                                  f"got {getattr(self, name)}")
         if self.radius <= 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        if not 1 <= self.n_max <= MAX_NEIGHBORS:
+            raise ConfigError(f"nmax must be in [1, {MAX_NEIGHBORS}], got {self.n_max}")
         if self.attn_pad not in PAD_MODES:
             raise ConfigError(f"attn_pad must be one of {PAD_MODES}")
         if self.head_norm not in HEAD_NORMS:

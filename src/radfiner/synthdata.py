@@ -8,8 +8,9 @@ zero.  The surrogate starts from the ground-truth moving mask and injects
 the error modes the refinement stage exists to repair: missed instance
 points, boundary false positives glued to the nearest instance, spurious
 static clusters promoted to instances, and merges of nearby instances.
-The per-class geometry and signal statistics are fixed (`PROFILES`); a
-`SceneConfig` sets only the scene-wide knobs.
+The per-class geometry and signal statistics (`PROFILES`) and the sensor
+and noise constants are fixed; a `SceneConfig` sets only the scene-wide
+counts, the far range and the seed.
 """
 
 from __future__ import annotations
@@ -51,50 +52,52 @@ _WIDEST = max(p.extent for p in PROFILES.values())
 MAX_SCAN_POINTS = 100_000
 
 
+# scene-wide constants no recipe varies; distances in meters
+NEAR_CLUTTER = (3, 6)      # static returns dropped next to each instance, inclusive
+NEAR_SIGMA = 1.0
+CLUSTER_SPREAD = 4.0
+FOV_DEG = 120.0
+MIN_RANGE = 5.0
+STATIC_RCS_MEAN = -10.0    # dBsm
+STATIC_RCS_SPREAD = 3.0
+DOPPLER_NOISE = 0.05       # m/s
+# most traffic hotspots a config may ask for: 200x configs/bench.cfg's 5,
+# and each one is a position drawn per scan
+MAX_CLUSTERS = 1_000
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Knobs for the scene generator.  All distances in meters."""
 
     instances_per_scan: tuple[int, int] = (3, 6)
     clutter_points: tuple[int, int] = (60, 120)    # free-standing static returns
-    near_clutter: tuple[int, int] = (3, 6)         # static returns dropped next to each instance
-    near_sigma: float = 1.0
     clusters: tuple[int, int] = (1, 2)             # traffic hotspots instances gather around
-    cluster_spread: float = 4.0
-    fov_deg: float = 120.0
-    min_range: float = 5.0
     max_range: float = 45.0
-    static_rcs_mean: float = -10.0
-    static_rcs_spread: float = 3.0
-    doppler_noise: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         for rng_pair, what in ((self.instances_per_scan, "instances_per_scan"),
                                (self.clutter_points, "clutter_points"),
-                               (self.near_clutter, "near_clutter"),
                                (self.clusters, "clusters")):
             if not (0 <= rng_pair[0] <= rng_pair[1]):
                 raise ConfigError(f"bad {what} range {rng_pair}")
         most_points = max(p.points[1] for p in PROFILES.values())
-        most = (self.instances_per_scan[1] * (most_points + self.near_clutter[1])
+        most = (self.instances_per_scan[1] * (most_points + NEAR_CLUTTER[1])
                 + self.clutter_points[1])
         if most > MAX_SCAN_POINTS:
-            raise ConfigError(f"instances_per_scan {self.instances_per_scan}, near_clutter "
-                              f"{self.near_clutter} and clutter_points {self.clutter_points} "
-                              f"allow {most} points per scan, over {MAX_SCAN_POINTS}")
+            raise ConfigError(f"instances_per_scan {self.instances_per_scan} and clutter_points "
+                              f"{self.clutter_points} allow {most} points per scan, "
+                              f"over {MAX_SCAN_POINTS}")
         if self.instances_per_scan[1] < 1 and self.clutter_points[1] < 1:
             raise ConfigError("scene would always be empty")
         if self.clusters[0] < 1:
             raise ConfigError("need at least one placement cluster")
-        if not (0 < self.fov_deg <= 360.0):
-            raise ConfigError(f"fov_deg must be in (0, 360], got {self.fov_deg}")
-        if not (0 < self.min_range < self.max_range):
-            raise ConfigError("need 0 < min_range < max_range")
-        if self.max_range - self.min_range < 2.0 * (self.cluster_spread + _WIDEST):
-            raise ConfigError("range interval too narrow to fit the requested instances")
-        if self.doppler_noise <= 0 or self.static_rcs_spread <= 0 or self.near_sigma <= 0:
-            raise ConfigError("noise scales must be positive")
+        if self.clusters[1] > MAX_CLUSTERS:
+            raise ConfigError(f"clusters {self.clusters} asks for over {MAX_CLUSTERS} hotspots")
+        if not self.max_range - MIN_RANGE >= 2.0 * (CLUSTER_SPREAD + _WIDEST):
+            raise ConfigError(f"max_range {self.max_range} is too close to the minimum range "
+                              f"{MIN_RANGE} to fit the requested instances")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -107,9 +110,8 @@ def radial_doppler(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return (points @ np.asarray(velocity, dtype=np.float64)) / ranges
 
 
-def _wedge_positions(rng: np.random.Generator, n: int, cfg: SceneConfig,
-                     lo: float, hi: float) -> np.ndarray:
-    half = np.deg2rad(cfg.fov_deg) / 2.0
+def _wedge_positions(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
+    half = np.deg2rad(FOV_DEG) / 2.0
     az = rng.uniform(-half, half, n)
     rr = rng.uniform(lo, hi, n)
     return np.stack([rr * np.cos(az), rr * np.sin(az)], axis=1)
@@ -130,11 +132,11 @@ def generate_scene(config: SceneConfig, seed: int) -> RadarScan:
         sem.append(np.full(len(points), int(code), dtype=np.int64))
         inst.append(np.full(len(points), int(iid), dtype=np.int64))
 
-    margin = config.cluster_spread + _WIDEST
-    lo = config.min_range + margin
+    margin = CLUSTER_SPREAD + _WIDEST
+    lo = MIN_RANGE + margin
     hi = max(config.max_range - margin, lo + 1e-6)
     n_centers = int(rng.integers(config.clusters[0], config.clusters[1] + 1))
-    centers = _wedge_positions(rng, n_centers, config, lo, hi)
+    centers = _wedge_positions(rng, n_centers, lo, hi)
 
     n_inst = int(rng.integers(config.instances_per_scan[0], config.instances_per_scan[1] + 1))
     for iid in range(1, n_inst + 1):
@@ -144,35 +146,35 @@ def generate_scene(config: SceneConfig, seed: int) -> RadarScan:
             # lone pedestrians and two-wheelers keep to the margins rather
             # than the traffic hotspots; an isolated, sparse neighborhood is
             # the main cue separating them from groups and parked-up clusters
-            center = _wedge_positions(rng, 1, config, lo, hi)[0]
+            center = _wedge_positions(rng, 1, lo, hi)[0]
         else:
-            center = centers[rng.integers(n_centers)] + rng.normal(0.0, config.cluster_spread, 2)
+            center = centers[rng.integers(n_centers)] + rng.normal(0.0, CLUSTER_SPREAD, 2)
         n_pts = int(rng.integers(prof.points[0], prof.points[1] + 1))
         pts = center + rng.normal(0.0, prof.extent / 2.0, (n_pts, 2))
         speed = rng.uniform(prof.speed[0], prof.speed[1])
         heading = rng.uniform(0.0, 2.0 * np.pi)
         velocity = speed * np.array([np.cos(heading), np.sin(heading)])
-        d = radial_doppler(pts, velocity) + rng.normal(0.0, config.doppler_noise, n_pts)
+        d = radial_doppler(pts, velocity) + rng.normal(0.0, DOPPLER_NOISE, n_pts)
         r = rng.normal(prof.rcs_mean, prof.rcs_spread, n_pts)
         add(pts, r, d, code, iid)
 
         # ground returns hug real objects; these are what the surrogate can
         # later flip into boundary false positives
-        n_near = int(rng.integers(config.near_clutter[0], config.near_clutter[1] + 1))
+        n_near = int(rng.integers(NEAR_CLUTTER[0], NEAR_CLUTTER[1] + 1))
         if n_near > 0:
             anchor = pts[rng.integers(n_pts)]
-            near = anchor + rng.normal(0.0, config.near_sigma, (n_near, 2))
+            near = anchor + rng.normal(0.0, NEAR_SIGMA, (n_near, 2))
             add(near,
-                rng.normal(config.static_rcs_mean, config.static_rcs_spread, n_near),
-                rng.normal(0.0, config.doppler_noise, n_near),
+                rng.normal(STATIC_RCS_MEAN, STATIC_RCS_SPREAD, n_near),
+                rng.normal(0.0, DOPPLER_NOISE, n_near),
                 SemanticClass.STATIC, 0)
 
     n_static = int(rng.integers(config.clutter_points[0], config.clutter_points[1] + 1))
     if n_static > 0:
-        pts = _wedge_positions(rng, n_static, config, config.min_range, config.max_range)
+        pts = _wedge_positions(rng, n_static, MIN_RANGE, config.max_range)
         add(pts,
-            rng.normal(config.static_rcs_mean, config.static_rcs_spread, n_static),
-            rng.normal(0.0, config.doppler_noise, n_static),
+            rng.normal(STATIC_RCS_MEAN, STATIC_RCS_SPREAD, n_static),
+            rng.normal(0.0, DOPPLER_NOISE, n_static),
             SemanticClass.STATIC, 0)
 
     if not xy:
@@ -195,6 +197,10 @@ def generate_corpus(config: SceneConfig, count: int) -> list[RadarScan]:
 # backbone surrogate
 
 
+MERGE_GAP = 2.0        # meters; instance pairs closer than this can merge
+BOUNDARY_REACH = 2.0   # meters; how far from an instance boundary flips reach
+
+
 @dataclass(frozen=True)
 class SurrogateConfig:
     """Per-mode error rates for the fault injector."""
@@ -203,8 +209,6 @@ class SurrogateConfig:
     eps_clutter: float = 0.0    # scan gains one spurious static cluster as an instance
     eps_merge: float = 0.0      # nearby instance pair collapsed onto the smaller id
     eps_miss: float = 0.0       # instance point flagged static
-    merge_gap: float = 2.0
-    boundary_reach: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -212,15 +216,13 @@ class SurrogateConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.merge_gap <= 0 or self.boundary_reach <= 0:
-            raise ConfigError("merge_gap and boundary_reach must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _merge_nearby(xy: np.ndarray, moving: np.ndarray, ids: np.ndarray,
                   rng: np.random.Generator, config: SurrogateConfig) -> None:
-    """In place, each pair of moving instances closer than `merge_gap`
+    """In place, each pair of moving instances closer than `MERGE_GAP`
     merges with probability `eps_merge`, drawn in ascending (id, id)
     order; merges chain, and a merged group takes its smallest id."""
     member = np.flatnonzero(moving & (ids > 0))
@@ -231,7 +233,7 @@ def _merge_nearby(xy: np.ndarray, moving: np.ndarray, ids: np.ndarray,
         return
     d = cdist(xy[member], xy[member])
     gap = np.minimum.reduceat(np.minimum.reduceat(d, starts, axis=0), starts, axis=1)
-    a, b = np.nonzero(np.triu(gap < config.merge_gap, k=1))
+    a, b = np.nonzero(np.triu(gap < MERGE_GAP, k=1))
     hit = rng.random(a.size) < config.eps_merge
     linked = np.eye(present.size, dtype=bool)
     linked[a[hit], b[hit]] = linked[b[hit], a[hit]] = True
@@ -262,7 +264,7 @@ def surrogate_backbone(scan: RadarScan, config: SurrogateConfig, seed: int) -> M
     if np.any(gt_static) and np.any(gt_moving):
         d = cdist(scan.xy[gt_static], scan.xy[gt_moving])
         nearest = np.argmin(d, axis=1)
-        near_enough = d[np.arange(len(nearest)), nearest] <= config.boundary_reach
+        near_enough = d[np.arange(len(nearest)), nearest] <= BOUNDARY_REACH
         hit = rng.random(int(np.sum(gt_static))) < config.eps_boundary
         chosen = np.flatnonzero(gt_static)[near_enough & hit]
         moving[chosen] = True

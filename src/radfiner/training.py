@@ -35,27 +35,20 @@ from .optim import AdamW
 from .pipeline import evaluate_split
 from .scans import MovingPrediction, RadarScan, feature_matrix
 
-CLUTTER_SOURCES = ("sampled", "synthetic")
+BOUNDARY_SIGMA = 0.8      # meters; radial spread of injected boundary points
+CLUTTER_SIZE = (1, 5)     # points in the injected clutter group, inclusive
+CLUTTER_SIGMA = 1.5       # meters; spread of the injected clutter group
+LR_DROP_FACTOR = 10.0     # the learning rate divides by this after lr_drop_epoch
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
     p_instance: float = 0.4
     p_scan: float = 0.4
-    boundary_sigma: float = 0.8      # meters; radial spread of injected boundary points
-    clutter_size: tuple[int, int] = (1, 5)
-    clutter_sigma: float = 1.5       # meters; spread of the injected clutter group
-    clutter_source: str = "sampled"  # copy real static features, or synthesize them
 
     def __post_init__(self):
         if not (0.0 <= self.p_instance <= 1.0 and 0.0 <= self.p_scan <= 1.0):
             raise ConfigError("augmentation probabilities must be in [0, 1]")
-        if not (1 <= self.clutter_size[0] <= self.clutter_size[1] <= 5):
-            raise ConfigError(f"clutter_size must sit within [1, 5], got {self.clutter_size}")
-        if self.boundary_sigma <= 0 or self.clutter_sigma <= 0:
-            raise ConfigError("sigma values must be positive")
-        if self.clutter_source not in CLUTTER_SOURCES:
-            raise ConfigError(f"clutter_source must be one of {CLUTTER_SOURCES}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +57,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.001
     lr_drop_epoch: int = 60
-    lr_drop_factor: float = 10.0
-    weight_decay: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -75,8 +66,8 @@ class TrainConfig:
             # a drop epoch at or past the end of the run simply never fires
             raise ConfigError(
                 f"lr_drop_epoch must be >= 1, got {self.lr_drop_epoch}")
-        if self.lr <= 0 or self.lr_drop_factor < 1 or self.weight_decay < 0:
-            raise ConfigError("bad optimizer hyperparameters")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -117,7 +108,7 @@ def augment_scan(scan: RadarScan, cfg: AugmentConfig,
         members = np.flatnonzero(scan.instance == iid)
         src = members[rng.integers(members.size)]
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = rng.normal(0.0, cfg.boundary_sigma)
+        radius = rng.normal(0.0, BOUNDARY_SIGMA)
         pos = scan.xy[src] + radius * np.array([np.cos(angle), np.sin(angle)])
         if static_idx.size:
             donor = static_idx[rng.integers(static_idx.size)]
@@ -127,18 +118,17 @@ def augment_scan(scan: RadarScan, cfg: AugmentConfig,
 
     # clutter mimic: a small static-target group somewhere in the scan
     if rng.random() < cfg.p_scan:
-        k = int(rng.integers(cfg.clutter_size[0], cfg.clutter_size[1] + 1))
+        k = int(rng.integers(CLUTTER_SIZE[0], CLUTTER_SIZE[1] + 1))
         lo = scan.xy.min(axis=0)
         hi = scan.xy.max(axis=0)
         center = rng.uniform(lo, hi)
         for _ in range(k):
-            pos = center + rng.normal(0.0, cfg.clutter_sigma, 2)
-            if cfg.clutter_source == "sampled" and static_idx.size:
+            pos = center + rng.normal(0.0, CLUTTER_SIGMA, 2)
+            if static_idx.size:
                 donor = static_idx[rng.integers(static_idx.size)]
                 injected.append((pos, scan.rcs[donor], scan.doppler[donor]))
-            else:
-                base = float(np.median(scan.rcs[static_idx])) if static_idx.size else 0.0
-                injected.append((pos, rng.normal(base, 1.0), rng.normal(0.0, 0.05)))
+            else:  # no static donor in the scan: draw the features
+                injected.append((pos, rng.normal(0.0, 1.0), rng.normal(0.0, 0.05)))
 
     new = np.array([(*pos, rcs, dop) for pos, rcs, dop in injected]).reshape(-1, 4)
     xy = np.concatenate([scan.xy[moving], new[:, 0:2]])
@@ -153,7 +143,7 @@ def augment_scan(scan: RadarScan, cfg: AugmentConfig,
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
-    return cfg.lr / cfg.lr_drop_factor if epoch > cfg.lr_drop_epoch else cfg.lr
+    return cfg.lr / LR_DROP_FACTOR if epoch > cfg.lr_drop_epoch else cfg.lr
 
 
 HISTORY_COLUMNS = ("epoch", "ce", "lovasz", "consistency", "total",
@@ -192,7 +182,7 @@ def train(train_scans: list[RadarScan], net: RadFinerNet, tcfg: TrainConfig,
         raise ValidationError("training needs at least one scan")
     if (val_scans is None) != (val_preds is None):
         raise ValidationError("validation needs both scans and predictions")
-    opt = AdamW(net.params(), lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    opt = AdamW(net.params(), lr=tcfg.lr)
     history: list[dict] = []
     hist = contextlib.nullcontext()
     if out_dir is not None:

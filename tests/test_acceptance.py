@@ -385,17 +385,19 @@ def test_criterion_9_determinism(tmp_path):
     assert a == _tree_bytes(tmp_path / "data" / "c", names), "rerun changed data"
 
     data = str(tmp_path / "data" / "a")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("d1 = 8\nd2 = 16\ntrain.epochs = 2\ntrain.batch_size = 2\n"
+                   "train.seed = 5\n")
     for sub in ("ra", "rb"):
         rc = cli.main(["train", "--data", data, "--out", str(tmp_path / sub),
-                       "--epochs", "2", "--batch-size", "2", "--d1", "8",
-                       "--d2", "16", "--seed", "5", "--quiet"])
+                       "--config", str(cfg), "--quiet"])
         assert rc == 0
     train_names = ["history.csv", "ckpt_epoch02", "net.cfg"]
     assert _tree_bytes(tmp_path / "ra", train_names) == \
         _tree_bytes(tmp_path / "rb", train_names), "rerun changed training"
 
     for sub, workers in (("ea", "1"), ("eb", "4")):
-        rc = cli.main(["eval", "--data", data, "--source", "checkpoint",
+        rc = cli.main(["eval", "--data", data,
                        "--checkpoint", str(tmp_path / "ra" / "ckpt_epoch02"),
                        "--refine", "--workers", workers,
                        "--out", str(tmp_path / sub)])

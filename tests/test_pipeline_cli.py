@@ -1,8 +1,10 @@
 """End-to-end plumbing: evaluation pipeline, CLI contracts, exit codes."""
 
+import argparse
 import json
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,14 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 BUILDERS = ((net_config, NetworkConfig), (scene_config, SceneConfig),
             (surrogate_config, SurrogateConfig), (train_config, TrainConfig),
             (augment_config, AugmentConfig))
+# one epoch of a narrow network, so a `train` run takes a second
+TINY = "d1 = 8\nd2 = 16\ntrain.epochs = 1\n"
+
+
+def _tiny_cfg(tmp_path, extra: str = "") -> str:
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY + extra)
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +183,10 @@ def test_shipped_configs_build(path):
 
 
 def test_config_values_cast_from_default_types():
-    scene = scene_config({"scene.instances": "2:9", "scene.fov_deg": "90"})
-    assert scene.instances_per_scan == (2, 9) and scene.fov_deg == 90.0
+    scene = scene_config({"scene.instances": "2:9", "scene.max_range": "90"})
+    assert scene.instances_per_scan == (2, 9) and scene.max_range == 90.0
     for mapping in ({"scene.instances": "3"}, {"scene.instances": "1:2:3"},
-                    {"scene.instances": "1.5:3"}, {"scene.fov_deg": "wide"}):
+                    {"scene.instances": "1.5:3"}, {"scene.max_range": "far"}):
         with pytest.raises(ConfigError, match="scene"):
             scene_config(mapping)
     with pytest.raises(ConfigError, match="nmax"):
@@ -190,6 +200,38 @@ def test_net_config_roundtrip(tmp_path):
     p = tmp_path / "net.cfg"
     write_net_config(p, cfg)
     assert net_config(load_config(p)) == cfg
+
+
+# -- CLI options ---------------------------------------------------------------
+
+def _options(parser) -> list[tuple[str, str]]:
+    """(subcommand, dest) of every option of every subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.dest) for name, p in sub.choices.items()
+            for action in p._actions if action.option_strings and action.dest != "help"]
+
+
+def test_no_option_mirrors_a_config_key():
+    names = {f.name for _, cls in BUILDERS for f in fields(cls)}
+    for key in known_keys():
+        names |= {key.rpartition(".")[2], key.replace(".", "_")}
+    # generate makes a recipe's train and test corpora from one config file;
+    # gradcheck's --seed draws the point cloud it checks on, which no key sets
+    allowed = {("generate", "seed"), ("generate", "surrogate_seed"), ("gradcheck", "seed")}
+    mirrored = [opt for opt in _options(cli._build_parser())
+                if opt[1] in names and opt not in allowed]
+    assert mirrored == []
+
+
+def test_commands_quoted_in_the_configs_parse():
+    parser = cli._build_parser()
+    quoted = [line.split("radfiner", 1)[1].split()
+              for path in sorted(CONFIGS.glob("*.cfg"))
+              for line in path.read_text().splitlines()
+              if re.match(r"#\s+radfiner ", line)]
+    assert len(quoted) >= 5
+    for argv in quoted:
+        parser.parse_args(argv)  # an unknown flag raises a usage error
 
 
 # -- CLI end to end ------------------------------------------------------------
@@ -227,9 +269,8 @@ def test_full_cli_cycle(tmp_path, capsys):
                      "--seed", "21"]) == 0
 
     run = tmp_path / "run"
-    assert cli.main(["train", "--data", str(data), "--out", str(run),
-                     "--epochs", "1", "--batch-size", "4",
-                     "--d1", "8", "--d2", "16", "--quiet"]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(run), "--quiet",
+                     "--config", _tiny_cfg(tmp_path, "train.batch_size = 4\n")]) == 0
     history = (run / "history.csv").read_text().splitlines()
     assert len(history) == 2  # header + 1 row
     # the two manifests together record every config key
@@ -241,14 +282,14 @@ def test_full_cli_cycle(tmp_path, capsys):
     assert recorded == known_keys()
     assert resolved["blas_threads"] == blas.BLAS_THREADS or not blas.can_set_threads()
 
-    assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 0
+    # without a checkpoint, eval scores the backbone predictions as they are
+    assert cli.main(["eval", "--data", str(data)]) == 0
     table = capsys.readouterr().out
     assert "static" in table and "PQ" in table
 
     out = tmp_path / "scored"
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                     "--checkpoint", str(run / "ckpt_epoch01"),
-                     "--refine", "--out", str(out)]) == 0
+    assert cli.main(["eval", "--data", str(data), "--checkpoint",
+                     str(run / "ckpt_epoch01"), "--refine", "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
     assert (out / "refined.txt").exists()
     assert (out / "manifest_eval.json").exists()
@@ -266,13 +307,11 @@ def test_eval_refine_changes_labels_not_points(tmp_path):
                      "--seed", "9"]) == 0
     before = load_scans(data / "scans.txt")
     run = tmp_path / "run"
-    assert cli.main(["train", "--data", str(data), "--out", str(run),
-                     "--epochs", "1", "--batch-size", "4",
-                     "--d1", "8", "--d2", "16", "--quiet"]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(run), "--quiet",
+                     "--config", _tiny_cfg(tmp_path, "train.batch_size = 4\n")]) == 0
     out = tmp_path / "scored"
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                     "--checkpoint", str(run / "ckpt_epoch01"),
-                     "--refine", "--out", str(out)]) == 0
+    assert cli.main(["eval", "--data", str(data), "--checkpoint",
+                     str(run / "ckpt_epoch01"), "--refine", "--out", str(out)]) == 0
     after = load_scans(data / "scans.txt")
     for s0, s1 in zip(before, after):
         assert np.array_equal(s0.xy, s1.xy)
@@ -301,9 +340,8 @@ def test_eval_refine_out_classifies_each_scan_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RadFinerNet, "infer", counted)
     out = tmp_path / "scored"
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                     "--checkpoint", str(run / "ckpt"), "--refine",
-                     "--out", str(out)]) == 0
+    assert cli.main(["eval", "--data", str(data), "--checkpoint", str(run / "ckpt"),
+                     "--refine", "--out", str(out)]) == 0
     assert len(calls) == selected
     assert len(load_predictions(out / "refined.txt")) == 6
 
@@ -312,12 +350,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["generate", "--count", "3"]) == 1  # --out missing
-    assert cli.main(["eval", "--data", str(tmp_path), "--source", "checkpoint"]) == 1
+    # flags that only mirrored a config key are gone; the value goes in --config
+    assert cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                     "--epochs", "1"]) == 1
+    assert cli.main(["eval", "--data", str(tmp_path), "--source", "surrogate"]) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_data_exits_two(tmp_path):
-    rc = cli.main(["eval", "--data", str(tmp_path / "nowhere"),
-                   "--source", "surrogate"])
+    rc = cli.main(["eval", "--data", str(tmp_path / "nowhere")])
     assert rc == 2
 
 
@@ -329,7 +370,7 @@ def test_forged_point_count_exits_two(tmp_path, capsys):
                          ("surrogate.txt", "#radfiner-pred v1")):
         good = (data / name).read_text()
         (data / name).write_text(f"{header}\nscan 0 100000000000\n0 0\n")
-        assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 2
+        assert cli.main(["eval", "--data", str(data)]) == 2
         assert f"{name}:2: point count 100000000000 runs past" in capsys.readouterr().err
         (data / name).write_text(good)
 
@@ -341,7 +382,7 @@ def test_integer_outside_int64_exits_two(tmp_path, capsys):
                               ("surrogate.txt", "#radfiner-pred v1", "1")):
         good = (data / name).read_text()
         (data / name).write_text(f"{header}\nscan 0 1\n{row} {2 ** 70}\n")
-        assert cli.main(["eval", "--data", str(data), "--source", "surrogate"]) == 2
+        assert cli.main(["eval", "--data", str(data)]) == 2
         assert f"{name}:3: unparseable fields" in capsys.readouterr().err
         (data / name).write_text(good)
 
@@ -355,8 +396,7 @@ def test_forged_checkpoint_shape_exits_two(tmp_path, capsys):
     forged = run / "forged.ckpt"
     for entry in ("w 2 -2 -3 1.0 2.0 3.0 4.0 5.0 6.0", "w 2 4294967296 4294967296"):
         forged.write_text(f"#radfiner-ckpt v1\n{entry}\n")
-        assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                         "--checkpoint", str(forged)]) == 2
+        assert cli.main(["eval", "--data", str(data), "--checkpoint", str(forged)]) == 2
         assert "forged.ckpt:2:" in capsys.readouterr().err
     # well-formed file, but a running statistic of the wrong length
     entries = RadFinerNet(toy_config()).state_entries()
@@ -364,8 +404,7 @@ def test_forged_checkpoint_shape_exits_two(tmp_path, capsys):
     assert entries[name].shape == (8,)
     entries[name] = np.zeros(3)
     save_entries(forged, entries)
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                     "--checkpoint", str(forged)]) == 2
+    assert cli.main(["eval", "--data", str(data), "--checkpoint", str(forged)]) == 2
     assert name in capsys.readouterr().err
 
 
@@ -385,49 +424,48 @@ def test_non_finite_values_exit_two(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
     run = tmp_path / "run"
-    for flag, value in (("--lr", "nan"), ("--radius", "inf")):
-        assert cli.main(["train", "--data", str(data), "--out", str(run),
-                         "--epochs", "1", "--d1", "8", "--d2", "16", "--quiet",
-                         flag, value]) == 2
+    for line in ("train.lr = nan\n", "radius = inf\n"):
+        assert cli.main(["train", "--data", str(data), "--out", str(run), "--quiet",
+                         "--config", _tiny_cfg(tmp_path, line)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not run.exists()
     cfg = tmp_path / "nan.cfg"
-    cfg.write_text("scene.near_sigma = nan\n")
+    cfg.write_text("scene.max_range = nan\n")
     assert cli.main(["generate", "--out", str(tmp_path / "gen"), "--count", "1",
                      "--config", str(cfg)]) == 2
-    assert "scene.near_sigma must be finite" in capsys.readouterr().err
+    assert "scene.max_range must be finite" in capsys.readouterr().err
     assert not (tmp_path / "gen").exists()
     # a checkpoint holding a nan
     write_net_config(tmp_path / "net.cfg", toy_config())
     entries = RadFinerNet(toy_config()).state_entries()
     entries["embed.lin1.bias"][0] = np.nan
     save_entries(tmp_path / "nan.ckpt", entries)
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
+    assert cli.main(["eval", "--data", str(data),
                      "--checkpoint", str(tmp_path / "nan.ckpt")]) == 2
     assert "embed.lin1.bias holds a non-finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text", [
-    ("train", "scene.near_sigma = nan\nsurrogate.eps_miss = inf\n"),
-    ("train", "train.lr = nan\n"),  # rejected though --lr overrides it
+    ("train", "scene.max_range = nan\nsurrogate.eps_miss = inf\n"),
     ("eval", "d1 = 8\nd2 = 16\nsurrogate.eps_miss = 2\n"),
     ("train", "seed = -1\n"),
     ("train", "scene.seed = -1\n"),
     ("train", "surrogate.seed = -1\n"),
     ("train", "train.seed = -1\n"),
-], ids=["train-unused-sections", "train-flag-overridden", "eval-net-config",
+], ids=["train-unused-sections", "eval-net-config",
         "negative-net-seed", "negative-scene-seed", "negative-surrogate-seed",
         "negative-train-seed"])
 def test_bad_value_in_any_config_section_exits_two(tmp_path, capsys, command, text):
     data = tmp_path / "data"
     assert cli.main(["generate", "--out", str(data), "--count", "2"]) == 0
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
     run = tmp_path / "run"
     if command == "train":
+        cfg.write_text(TINY + text)
         argv = ["train", "--data", str(data), "--out", str(run), "--config", str(cfg),
-                "--epochs", "1", "--d1", "8", "--d2", "16", "--lr", "0.001", "--quiet"]
+                "--quiet"]
     else:
+        cfg.write_text(text)
         argv = ["eval", "--data", str(data), "--net-config", str(cfg),
                 "--checkpoint", str(tmp_path / "never-read.ckpt")]
     assert cli.main(argv) == 2
@@ -436,7 +474,6 @@ def test_bad_value_in_any_config_section_exits_two(tmp_path, capsys, command, te
 
 
 @pytest.mark.parametrize("key, field", [("instances", "instances_per_scan"),
-                                        ("near_clutter", "near_clutter"),
                                         ("clutter_points", "clutter_points")])
 def test_huge_scene_count_range_exits_two(tmp_path, capsys, key, field):
     huge = (0, 2 ** 63 - 1)
@@ -455,6 +492,31 @@ def test_huge_scene_count_range_exits_two(tmp_path, capsys, key, field):
     assert not (tmp_path / "gen").exists()
 
 
+HUGE = 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("line, cls, field, value", [
+    (f"scene.clusters = 1:{HUGE}", SceneConfig, "clusters", (1, HUGE)),
+    (f"nmax = {HUGE}", NetworkConfig, "n_max", HUGE),
+    (f"d1 = {HUGE}", NetworkConfig, "d1", HUGE),
+    (f"d2 = {HUGE}", NetworkConfig, "d2", HUGE),
+], ids=["clusters", "nmax", "d1", "d2"])
+def test_oversized_config_value_exits_two(tmp_path, capsys, line, cls, field, value):
+    named = rf"\b{line.split()[0].split('.')[-1]}\b.*{HUGE}"
+    # the config object refuses it first, so a missing bound fails here
+    # instead of allocating for it
+    with pytest.raises(ConfigError, match=named):
+        cls(**{field: value})
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(line + "\n")
+    t0 = time.perf_counter()
+    assert cli.main(["generate", "--out", str(tmp_path / "gen"), "--count", "1",
+                     "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert re.search(named, capsys.readouterr().err)
+    assert not (tmp_path / "gen").exists()
+
+
 @pytest.mark.parametrize("target", ["config", "scans", "predictions", "checkpoint"])
 def test_non_utf8_input_exits_two(tmp_path, capsys, target):
     data = tmp_path / "data"
@@ -465,8 +527,7 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, target):
             "predictions": data / "surrogate.txt", "checkpoint": tmp_path / "ckpt"}[target]
     head, tail = path.read_bytes().split(b"\n", 1)
     path.write_bytes(head + b"\n\xff" + tail)
-    assert cli.main(["eval", "--data", str(data), "--source", "checkpoint",
-                     "--checkpoint", str(tmp_path / "ckpt")]) == 2
+    assert cli.main(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "ckpt")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
@@ -486,22 +547,28 @@ class _PoisonedAdamW(training.AdamW):
     (["gradcheck", "--tol", "-1"], False, 2),
     (["gradcheck", "--tol", "0"], False, 2),
     (["gradcheck", "--seed", "-1"], False, 2),
-    (["gradcheck", "--net-seed", "-1"], False, 2),
+    (["gradcheck", "--net-config", "{tmp}/neg-net-seed.cfg"], False, 2),
     (["generate", "--out", "{tmp}/gen", "--count", "2", "--workers", "0"], False, 2),
     (["generate", "--out", "{tmp}/gen", "--count", "2", "--seed", "-1"], False, 2),
     (["generate", "--out", "{tmp}/gen", "--count", "2", "--surrogate-seed", "-1"], False, 2),
-    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
-      "--d1", "8", "--d2", "16", "--quiet", "--seed", "-1"], False, 2),
-    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
-      "--d1", "8", "--d2", "16", "--quiet", "--net-seed", "-1"], False, 2),
-    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--epochs", "1",
-      "--d1", "8", "--d2", "16", "--quiet"], True, 3),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--quiet",
+      "--config", "{tmp}/neg-train-seed.cfg"], False, 2),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--quiet",
+      "--config", "{tmp}/neg-net-seed.cfg"], False, 2),
+    (["train", "--data", "{tmp}/data", "--out", "{tmp}/run", "--quiet",
+      "--config", "{tmp}/tiny.cfg"], True, 3),
+    (["eval", "--data", "{tmp}/data", "--refine"], False, 1),
+    (["eval", "--data", "{tmp}/data", "--net-config", "{tmp}/tiny.cfg"], False, 1),
 ], ids=["gradcheck-points", "gradcheck-h", "gradcheck-tol-nan", "gradcheck-tol-inf",
         "gradcheck-tol-negative", "gradcheck-tol-zero", "gradcheck-seed",
         "gradcheck-net-seed", "generate-workers", "generate-seed", "generate-surrogate-seed",
-        "train-seed", "train-net-seed", "adamw-nan-grad"])
+        "train-seed", "train-net-seed", "adamw-nan-grad", "eval-refine-no-checkpoint",
+        "eval-net-config-no-checkpoint"])
 def test_failures_end_in_their_exit_code(tmp_path, monkeypatch, argv, poison, code):
     assert cli.main(["generate", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
+    for name, extra in (("tiny", ""), ("neg-train-seed", "train.seed = -1\n"),
+                        ("neg-net-seed", "seed = -1\n")):
+        (tmp_path / f"{name}.cfg").write_text(TINY + extra)
     if poison:
         monkeypatch.setattr(training, "AdamW", _PoisonedAdamW)
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == code

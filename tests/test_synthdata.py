@@ -6,9 +6,9 @@ from scipy.spatial.distance import cdist
 
 from radfiner.errors import ConfigError
 from radfiner.scans import RadarScan, SemanticClass, save_scans
-from radfiner.synthdata import (SceneConfig, SurrogateConfig, _merge_nearby,
-                                generate_corpus, generate_scene, radial_doppler,
-                                surrogate_backbone, surrogate_corpus)
+from radfiner.synthdata import (DOPPLER_NOISE, MERGE_GAP, SceneConfig, SurrogateConfig,
+                                _merge_nearby, generate_corpus, generate_scene,
+                                radial_doppler, surrogate_backbone, surrogate_corpus)
 
 
 # -- doppler geometry ---------------------------------------------------------
@@ -41,7 +41,7 @@ def test_static_doppler_within_three_sigma():
         i += 1
     d = np.concatenate(pooled)
     assert len(d) >= 10000
-    frac = np.mean(np.abs(d) <= 3.0 * cfg.doppler_noise)
+    frac = np.mean(np.abs(d) <= 3.0 * DOPPLER_NOISE)
     assert frac >= 0.99
 
 
@@ -86,13 +86,9 @@ def test_ground_truth_invariants():
 
 
 def test_impossible_fit_rejected():
-    with pytest.raises(ConfigError):
-        SceneConfig(min_range=5.0, max_range=10.0)
-
-
-def test_bad_fov_rejected():
-    with pytest.raises(ConfigError):
-        SceneConfig(fov_deg=0.0)
+    for max_range in (10.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="max_range"):
+            SceneConfig(max_range=max_range)
 
 
 def test_bad_probability_rejected():
@@ -238,7 +234,7 @@ def _merge_reference(xy, moving, ids, rng, config):
             for bi in range(ai + 1, len(present)):
                 a, b = int(present[ai]), int(present[bi])
                 gap = float(np.min(cdist(groups[a], groups[b])))
-                if gap < config.merge_gap and rng.random() < config.eps_merge:
+                if gap < MERGE_GAP and rng.random() < config.eps_merge:
                     ra, rb = root(a), root(b)
                     if ra != rb:
                         parent[max(ra, rb)] = min(ra, rb)

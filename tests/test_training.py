@@ -15,7 +15,7 @@ from radfiner.network import RadFinerNet, toy_config
 from radfiner.scans import RadarScan, SemanticClass
 from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_corpus,
                                 generate_scene, surrogate_corpus)
-from radfiner.training import (AugmentConfig, TrainConfig, _epoch_lr,
+from radfiner.training import (BOUNDARY_SIGMA, AugmentConfig, TrainConfig, _epoch_lr,
                                augment_scan, scan_rng, train)
 
 CAR = int(SemanticClass.CAR)
@@ -40,13 +40,7 @@ def test_augment_config_validation():
     with pytest.raises(ConfigError):
         AugmentConfig(p_instance=1.5)
     with pytest.raises(ConfigError):
-        AugmentConfig(clutter_size=(0, 5))
-    with pytest.raises(ConfigError):
-        AugmentConfig(clutter_size=(1, 9))
-    with pytest.raises(ConfigError):
-        AugmentConfig(boundary_sigma=0.0)
-    with pytest.raises(ConfigError):
-        AugmentConfig(clutter_source="imagined")
+        AugmentConfig(p_scan=-0.1)
 
 
 def test_train_config_validation():
@@ -95,7 +89,7 @@ def test_originals_stay_a_prefix():
 
 def test_boundary_point_lands_within_three_sigma():
     scan = _one_instance_scan()
-    cfg = AugmentConfig(p_instance=1.0, p_scan=0.0, boundary_sigma=0.8)
+    cfg = AugmentConfig(p_instance=1.0, p_scan=0.0)
     inst_pts = scan.xy[scan.instance == 1]
     hits = 0
     draws = 10000
@@ -104,7 +98,7 @@ def test_boundary_point_lands_within_three_sigma():
         added = sample.coords[sample.n_original:]
         assert len(added) == 1  # exactly one point per triggered instance
         d = np.sqrt(((inst_pts - added[0]) ** 2).sum(axis=1)).min()
-        hits += d <= 3.0 * cfg.boundary_sigma
+        hits += d <= 3.0 * BOUNDARY_SIGMA
     assert hits / draws >= 0.99
 
 
@@ -134,14 +128,13 @@ def test_boundary_features_copied_from_real_static():
 
 def test_synthetic_fallback_without_statics():
     scan = _one_instance_scan(n_static=0)
-    # sampled mode falls back to the synthetic law when no donors exist
-    for source in ("sampled", "synthetic"):
-        cfg = AugmentConfig(p_instance=1.0, p_scan=0.0, clutter_source=source)
-        sample = augment_scan(scan, cfg, np.random.default_rng(4))
-        added = sample.features[sample.n_original:]
-        assert len(added) == 1
-        assert added[0, 4] == 0.0  # zero doppler
-        assert added[0, 3] == np.median(scan.rcs[scan.instance == 1])
+    # with no static donor a boundary point takes the instance's median rcs
+    cfg = AugmentConfig(p_instance=1.0, p_scan=0.0)
+    sample = augment_scan(scan, cfg, np.random.default_rng(4))
+    added = sample.features[sample.n_original:]
+    assert len(added) == 1
+    assert added[0, 4] == 0.0  # zero doppler
+    assert added[0, 3] == np.median(scan.rcs[scan.instance == 1])
 
 
 def test_scan_rng_is_stable():
