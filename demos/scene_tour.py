@@ -13,6 +13,25 @@ from radfiner.synthdata import (SceneConfig, SurrogateConfig, generate_scene,
                                 radial_doppler, surrogate_backbone)
 
 
+def scan_svg(scan) -> str:
+    """The scan as a 640 x 640 SVG: one circle per point, colored by class,
+    static returns drawn smaller."""
+    colors = ("#999999", "#d62728", "#1f77b4", "#17becf", "#2ca02c", "#ff7f0e")
+    lo = scan.xy.min(axis=0) - 2.0
+    hi = scan.xy.max(axis=0) + 2.0
+    span = np.maximum(hi - lo, 1e-6)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+             f'viewBox="0 0 640 640"><rect width="640" height="640" fill="white"/>']
+    for i in range(len(scan)):
+        x = 620.0 * (scan.xy[i, 0] - lo[0]) / span[0] + 10.0
+        y = 630.0 - (620.0 * (scan.xy[i, 1] - lo[1]) / span[1] + 10.0)
+        c = colors[int(scan.sem[i]) % len(colors)]
+        r = 2.0 if scan.sem[i] == 0 else 3.5
+        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" fill="{c}"/>')
+    parts.append("</svg>")
+    return "".join(parts)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
@@ -69,9 +88,8 @@ def main() -> None:
           f"{len(pred_ids - gt_ids)} spurious)")
 
     if args.svg:
-        from radfiner.cli import _scan_svg
         with open(args.svg, "w") as fh:
-            fh.write(_scan_svg(scan))
+            fh.write(scan_svg(scan))
         print(f"\nwrote {args.svg}")
 
 

@@ -23,8 +23,7 @@ from .neighborhood import Neighborhood, ball_query, ball_query_bruteforce
 from .network import NetworkConfig, RadFinerNet, toy_config
 from .optim import AdamW
 from .pipeline import bench_pipeline, evaluate_split, predict_panoptic
-from .refinement import (assemble_panoptic, refine_instances,
-                         refinement_is_idempotent)
+from .refinement import assemble_panoptic, refine_instances
 from .scans import (NUM_CLASSES, MovingPrediction, PanopticPrediction,
                     RadarScan, SemanticClass, load_predictions, load_scans,
                     save_predictions, save_scans, select_moving)
@@ -47,8 +46,8 @@ __all__ = [
     "evaluate_split", "format_report", "full_network_check", "generate_corpus",
     "generate_scene", "gradient_check", "load_predictions", "load_scans",
     "lovasz_softmax", "mean_iou", "panoptic_quality", "predict_panoptic",
-    "refine_instances", "refinement_is_idempotent", "save_predictions",
-    "save_scans", "scan_rng", "scan_stats", "select_moving", "softmax_probs",
-    "surrogate_backbone", "surrogate_corpus", "total_loss", "toy_config",
-    "train", "write_metrics_csv",
+    "refine_instances", "save_predictions", "save_scans", "scan_rng",
+    "scan_stats", "select_moving", "softmax_probs", "surrogate_backbone",
+    "surrogate_corpus", "total_loss", "toy_config", "train",
+    "write_metrics_csv",
 ]

@@ -18,26 +18,22 @@ invisible (softmax ignores uniform shifts).  The softmax runs over the
 neighbor axis independently per channel, so each channel gets its own
 attention pattern (vector attention rather than scalar scores).
 
-Padding policy is selectable: "mask" removes padded slots from the
-softmax (they contribute exactly zero), "zeropad" is the ablation where
-padded slots enter as zero-valued Q/K/V and keep flowing through the
-attention MLP, ending up with nonzero weight.
-
-Both modes run one float64 numpy forward over only the (anchor, slot)
-pairs that enter the softmax, flattened anchor by anchor: under "mask"
-the valid pairs, under "zeropad" every pair.  The slot softmax and the
+Padded slots are left out of the softmax: each anchor attends over its
+valid neighbors alone, so a padded slot carries exactly zero weight.
+The layer runs one float64 numpy forward over only the valid (anchor,
+slot) pairs, flattened anchor by anchor.  The slot softmax and the
 weighted slot sum are segment reductions (`np.maximum.reduceat`,
 `np.add.reduceat`) over each anchor's contiguous run of pairs.  No run
-is empty, because slot 0, the anchor itself, is always valid.  The modes
-differ only in the norms.  In training mode they use the batch
-statistics, taken over the valid rows, through
-`autodiff.bn_forward`/`bn_backward` (shared with `BatchNorm`), and the
-call records one tape node, with parents x and `self.params()` and an
-analytic backward; the backward scatters the gathered rows' gradients
-to the points with one `np.bincount` per array.  In eval mode
-(training=False) each norm is the affine map of `BatchNorm.eval_affine`,
-and the call returns a constant that nothing differentiates: it is the
-reference that `infer` is tested against.
+is empty, because slot 0, the anchor itself, is always valid.  Training
+and eval differ only in the norms.  In training mode they use the batch
+statistics of the valid pairs through `autodiff.bn_forward`/`bn_backward`
+(shared with `BatchNorm`), and the call records one tape node, with
+parents x and `self.params()` and an analytic backward; the backward
+scatters the gathered rows' gradients to the points with one
+`np.bincount` per array.  In eval mode (training=False) each norm is
+the affine map of `BatchNorm.eval_affine`, and the call returns a
+constant that nothing differentiates: it is the reference that `infer`
+is tested against.
 
 The tape-free `RadiusAttention.infer` computes the per-point maps once
 per scan and then the per-(anchor, slot) rows in tiles of about
@@ -55,8 +51,6 @@ from .autodiff import Param, Tensor
 from .errors import ConfigError
 from .layers import BatchNorm, Module, fold_bn, glorot
 from .neighborhood import Neighborhood
-
-PAD_MODES = ("mask", "zeropad")
 
 # (anchor, slot) rows per tile of RadiusAttention.infer.  At width 256 a
 # tile's float32 temporaries are ~0.8 MB each and stay in a core's L2
@@ -78,12 +72,8 @@ class PositionalEncoder(Module):
 
 
 class RadiusAttention(Module):
-    def __init__(self, name: str, width: int, rng: np.random.Generator,
-                 pad_mode: str = "mask"):
-        if pad_mode not in PAD_MODES:
-            raise ConfigError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
+    def __init__(self, name: str, width: int, rng: np.random.Generator):
         self.width = width
-        self.pad_mode = pad_mode
         self.wq = Param(f"{name}.wq", glorot(rng, width, width))
         self.wk = Param(f"{name}.wk", glorot(rng, width, width))
         self.wv = Param(f"{name}.wv", glorot(rng, width, width))
@@ -101,14 +91,8 @@ class RadiusAttention(Module):
                 f"({nb.n_points}, {self.width})")
         n, m = nb.indices.shape
         pos, bn1, bn2 = self.pos, self.mlp_bn1, self.mlp_bn2
-        if self.pad_mode == "mask":
-            counts = nb.valid.sum(axis=1)
-            stat = None  # every selected pair is valid
-            nbr, rel = nb.indices[nb.valid], nb.rel_pos[nb.valid]
-        else:
-            counts = np.full(n, m)
-            stat = nb.valid.reshape(-1)
-            nbr, rel = nb.indices.reshape(-1), nb.rel_pos.reshape(-1, 2)
+        counts = nb.valid.sum(axis=1)
+        nbr, rel = nb.indices[nb.valid], nb.rel_pos[nb.valid]
         # slot 0 is always valid, so every anchor's run is non-empty and
         # the run starts are strictly increasing, as reduceat needs
         starts = np.cumsum(counts) - counts
@@ -120,7 +104,7 @@ class RadiusAttention(Module):
                 scale, shift = bn.eval_affine()
                 return h * scale + shift
             out, mean, var, cache = ad.bn_forward(h, bn.gamma.data, bn.beta.data,
-                                                  stat, BatchNorm.eps)
+                                                  BatchNorm.eps)
             bn.track(mean, var)
             caches.append(cache)
             return out
@@ -128,11 +112,6 @@ class RadiusAttention(Module):
         xd = x.data
         wqk, wv = self.wq.data - self.wk.data, self.wv.data
         qk, vg = (xd @ wqk)[nbr], (xd @ wv)[nbr]
-        if stat is not None:
-            # gathering pulls row 0 into padded slots; zeropad sees zeros there
-            keep = stat[:, None].astype(np.float64)
-            qk *= keep
-            vg *= keep
         rp = np.maximum(norm(rel @ pos.w1.data, pos.bn), 0.0)
         r = rp @ pos.w2.data
         h1 = np.maximum(norm(qk + r, bn1), 0.0)
@@ -159,12 +138,11 @@ class RadiusAttention(Module):
             dr = da1 + dvr
             d_pos_w2 = rp.T @ dr
             dhp, dgamma0, dbeta0 = ad.bn_backward((dr @ pos.w2.data.T) * (rp > 0.0), c0)
-            dqk, dvg = (da1, dvr) if stat is None else (da1 * keep, dvr * keep)
             # scatter to the points: bincount adds into each point in pair
             # order, so the sum is bitwise that of np.add.at
             keys = (nbr[:, None] * self.width + np.arange(self.width)).reshape(-1)
             gqk, gv = (np.bincount(keys, weights=d.reshape(-1), minlength=n * self.width)
-                       .reshape(n, self.width) for d in (dqk, dvg))
+                       .reshape(n, self.width) for d in (da1, dvr))
             d_wq = xd.T @ gqk
             # in the order of self.params(): the order the attributes are set
             grads = (d_wq, -d_wq, xd.T @ gv, rel.T @ dhp, dgamma0, dbeta0, d_pos_w2,
@@ -179,10 +157,8 @@ class RadiusAttention(Module):
             out = ad._record(out, (x, *self.params()), backward)
         if not return_weights:
             return out
-        weights = w
-        if stat is None:  # exact zeros at the padded slots
-            weights = np.zeros((n * m, self.width))
-            weights[nb.valid.reshape(-1)] = w
+        weights = np.zeros((n * m, self.width))  # exact zeros at the padded slots
+        weights[nb.valid.reshape(-1)] = w
         return out, weights.reshape(n, m, self.width)
 
     def infer(self, x: np.ndarray, nb: Neighborhood) -> np.ndarray:
@@ -198,10 +174,10 @@ class RadiusAttention(Module):
         once per call; everything per (anchor, slot) row, from the
         positional MLP to the weighted slot sum, then runs over tiles of
         `TILE_ROWS // m` anchors of m slots, each writing its own rows
-        of the output.  Slot 0, the anchor, is always valid, so each softmax
-        row has a finite maximum and a denominator of at least 1: both
-        pad modes share one softmax, masked mode setting the padded
-        logits to -inf.
+        of the output.  The padded logits are set to -inf, so the padded
+        slots get exactly zero weight; slot 0, the anchor, is always
+        valid, so each softmax row has a finite maximum and a
+        denominator of at least 1.
         """
         f32 = np.float32
         n, m = nb.indices.shape
@@ -227,9 +203,6 @@ class RadiusAttention(Module):
             hp += pos_b1
             np.maximum(hp, 0.0, out=hp)
             a, vg = qk[idx], v[idx]
-            if self.pad_mode == "zeropad":
-                a *= valid[..., None]
-                vg *= valid[..., None]
             a = a.reshape(t * m, -1)
             a += hp @ pos_w2_attn
             a += shift1
@@ -240,8 +213,7 @@ class RadiusAttention(Module):
             a = (a @ mlp_w2).reshape(t, m, -1)
 
             # channel-wise softmax over the slot axis
-            if self.pad_mode == "mask":
-                a[~valid] = -np.inf
+            a[~valid] = -np.inf
             a -= a.max(axis=1, keepdims=True)
             np.exp(a, out=a)
             a /= a.sum(axis=1, keepdims=True)

@@ -61,9 +61,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate_grad(self, g) -> None:
         self.grad = g if self.grad is None else self.grad + g
 
@@ -254,45 +251,34 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # normalization
 
 
-def bn_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               mask: np.ndarray | None, eps: float):
+def bn_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """Numpy forward of training-mode batch norm over every leading axis.
 
     Returns ``(out, mean, var, cache)``: the normalized array, the biased
-    batch mean and variance, kept-dims shaped (1, ..., 1, D), and what
-    `bn_backward` needs.  `mask` (shape x.shape[:-1]) restricts the
-    statistics to the rows it marks; the batch affine acts on every row.
-    There must be at least one row to take statistics over.
+    batch mean and variance over all rows, kept-dims shaped (1, ..., 1, D),
+    and what `bn_backward` needs.  There must be at least one row.
     """
     axes = tuple(range(x.ndim - 1))
-    if mask is None:
-        m = None
-        count = math.prod(x.shape[:-1])
-    else:
-        m = mask[..., None].astype(np.float64)
-        count = int(mask.sum())
+    count = math.prod(x.shape[:-1])
     if count == 0:
-        raise ValueError("batch norm over no valid rows")
-    xm = x if m is None else x * m
-    mean = xm.sum(axis=axes, keepdims=True) * (1.0 / count)
+        raise ValueError("batch norm over no rows")
+    mean = x.sum(axis=axes, keepdims=True) * (1.0 / count)
     u = x - mean
-    cu = u if m is None else u * m
-    var = (cu * cu).sum(axis=axes, keepdims=True) * (1.0 / count)
+    var = (u * u).sum(axis=axes, keepdims=True) * (1.0 / count)
     inv = (var + eps) ** -0.5
     xhat = u * inv
-    return xhat * gamma + beta, mean, var, (u, xhat, inv, m, count, gamma)
+    return xhat * gamma + beta, mean, var, (u, xhat, inv, count, gamma)
 
 
 def bn_backward(g: np.ndarray, cache):
     """``(dx, dgamma, dbeta)`` of `bn_forward` for the output gradient g.
 
     The standard analytic backward (Ioffe & Szegedy, arXiv 1502.03167)
-    with the statistics over the valid rows (m = mask, or 1 without one):
-    dx = inv * dxhat + m * (dmean + 2 * dvar * u) / count, where
-    dxhat = g * gamma, dmean = -inv * sum(dxhat) and
+    over `count` rows: dx = inv * dxhat + (dmean + 2 * dvar * u) / count,
+    where dxhat = g * gamma, dmean = -inv * sum(dxhat) and
     dvar = -inv**3 / 2 * sum(dxhat * u).
     """
-    u, xhat, inv, m, count, gamma = cache
+    u, xhat, inv, count, gamma = cache
     axes = tuple(range(g.ndim - 1))
     dgamma = (g * xhat).sum(axis=axes)
     dbeta = g.sum(axis=axes)
@@ -300,8 +286,6 @@ def bn_backward(g: np.ndarray, cache):
     dmean = -inv * dxhat.sum(axis=axes, keepdims=True)
     dvar = -0.5 * inv**3 * (dxhat * u).sum(axis=axes, keepdims=True)
     shift = dmean + 2.0 * dvar * u
-    if m is not None:
-        shift = shift * m
     return inv * dxhat + shift * (1.0 / count), dgamma, dbeta
 
 
@@ -310,7 +294,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     """Training-mode batch norm over every leading axis, as one node with
     parents (x, gamma, beta); `bn_forward` and `bn_backward` do the math.
     Returns ``(out, mean, var)``."""
-    out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, None, eps)
+    out, mean, var, cache = bn_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
         dx, dgamma, dbeta = bn_backward(g, cache)

@@ -96,23 +96,6 @@ def _net_from_args(args, checkpoint: Path | None = None) -> RadFinerNet:
 # -- generate -----------------------------------------------------------------
 
 
-def _scan_svg(scan) -> str:
-    colors = ("#999999", "#d62728", "#1f77b4", "#17becf", "#2ca02c", "#ff7f0e")
-    lo = scan.xy.min(axis=0) - 2.0
-    hi = scan.xy.max(axis=0) + 2.0
-    span = np.maximum(hi - lo, 1e-6)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-             f'viewBox="0 0 640 640"><rect width="640" height="640" fill="white"/>']
-    for i in range(len(scan)):
-        x = 620.0 * (scan.xy[i, 0] - lo[0]) / span[0] + 10.0
-        y = 630.0 - (620.0 * (scan.xy[i, 1] - lo[1]) / span[1] + 10.0)
-        c = colors[int(scan.sem[i]) % len(colors)]
-        r = 2.0 if scan.sem[i] == 0 else 3.5
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" fill="{c}"/>')
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 def _cmd_generate(args) -> int:
     t0 = time.perf_counter()
     if args.workers < 1:
@@ -133,8 +116,6 @@ def _cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_scans(scans, out_dir / SCANS_FILE)
     save_predictions(preds, out_dir / PREDS_FILE)
-    if args.emit_svg and scans:
-        (out_dir / "scene.svg").write_text(_scan_svg(scans[0]))
     _write_manifest(out_dir, "generate",
                     {"config": args.config, "count": args.count,
                      "scene": configio.section(scene_cfg),
@@ -298,7 +279,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="scene seed override")
     p.add_argument("--surrogate-seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--emit-svg", action="store_true")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="train the classifier head")

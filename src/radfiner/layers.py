@@ -13,9 +13,9 @@ node with the analytic backward; in eval mode it returns a constant.
 The training math lives once, in `autodiff.bn_forward` and
 `autodiff.bn_backward`: the BatchNorm node and the forward of
 `attention.RadiusAttention` both call them, and both fold the batch
-statistics into the running estimates through `BatchNorm.track`.  Only
-the attention restricts the statistics to the valid rows of a padded
-neighborhood (`bn_forward`'s mask).  The eval math lives once too, in
+statistics into the running estimates through `BatchNorm.track`.  The
+attention normalizes only its valid (anchor, slot) pairs, as it
+gathers no padded slot.  The eval math lives once too, in
 `BatchNorm.eval_affine`: the eval BatchNorm call, the attention's eval
 norms and `fold_bn` all apply its affine map.
 """

@@ -28,7 +28,7 @@ from scipy.special import erf
 
 from . import autodiff as ad
 from . import checkpoint
-from .attention import PAD_MODES, RadiusAttention
+from .attention import RadiusAttention
 from .autodiff import Tensor
 from .errors import ConfigError
 from .layers import BatchNorm, Linear, Module
@@ -50,7 +50,6 @@ class NetworkConfig:
     d2: int = 256                # block 2 width; the heads halve it three times
     radius: float = 5.0
     n_max: int = 24
-    attn_pad: str = "mask"
     head_norm: str = "bn"
     seed: int = 0
 
@@ -63,8 +62,6 @@ class NetworkConfig:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not 1 <= self.n_max <= MAX_NEIGHBORS:
             raise ConfigError(f"nmax must be in [1, {MAX_NEIGHBORS}], got {self.n_max}")
-        if self.attn_pad not in PAD_MODES:
-            raise ConfigError(f"attn_pad must be one of {PAD_MODES}")
         if self.head_norm not in HEAD_NORMS:
             raise ConfigError(f"head_norm must be one of {HEAD_NORMS}")
         if self.seed < 0:
@@ -104,10 +101,9 @@ class MLP(Module):
 
 
 class TransformerBlock(Module):
-    def __init__(self, name: str, d_in: int, d_model: int,
-                 rng: np.random.Generator, pad_mode: str):
+    def __init__(self, name: str, d_in: int, d_model: int, rng: np.random.Generator):
         self.pre = MLP(f"{name}.pre", d_in, d_model, d_model, rng, "none")
-        self.attn = RadiusAttention(f"{name}.attn", d_model, rng, pad_mode)
+        self.attn = RadiusAttention(f"{name}.attn", d_model, rng)
         self.post = MLP(f"{name}.post", d_model, d_model, d_model, rng, "none")
 
     def __call__(self, x: Tensor, nb: Neighborhood, training: bool) -> Tensor:
@@ -125,10 +121,8 @@ class RadFinerNet(Module):
         rng = np.random.default_rng(config.seed)
         h1, h2, h3 = config.head_widths()
         self.embed = MLP("embed", N_FEATURES, config.d1, config.d1, rng, "none")
-        self.block1 = TransformerBlock("block1", config.d1, config.d1, rng,
-                                       config.attn_pad)
-        self.block2 = TransformerBlock("block2", config.d1, config.d2, rng,
-                                       config.attn_pad)
+        self.block1 = TransformerBlock("block1", config.d1, config.d1, rng)
+        self.block2 = TransformerBlock("block2", config.d1, config.d2, rng)
         self.head1 = MLP("head1", config.d2, config.d2, h1, rng, config.head_norm)
         self.head2 = MLP("head2", h1, h1, h2, rng, config.head_norm)
         self.head3 = MLP("head3", h2, h3, NUM_CLASSES, rng, config.head_norm)

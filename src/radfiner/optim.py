@@ -8,10 +8,11 @@ Decay multiplies the raw parameter, not the gradient, so it is
 independent of the adaptive scaling.  step() consumes and zeroes the
 accumulated gradients.
 
-beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are the standard constants of
-Adam and AdamW (Loshchilov & Hutter, arXiv 1711.05101).  Training only
-ever tunes lr and weight_decay, and the checkpoints and reference losses
-were made with these values, so they are class constants, not options.
+beta1 = 0.9, beta2 = 0.999, eps = 1e-8 and weight_decay = 0.01 are the
+standard constants of Adam and AdamW (Loshchilov & Hutter, arXiv
+1711.05101).  Training only ever tunes lr, and the checkpoints and
+reference losses were made with these values, so they are class
+constants, not options.
 """
 
 from __future__ import annotations
@@ -26,19 +27,16 @@ class AdamW:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    weight_decay = 0.01
 
-    def __init__(self, params: list[Param], lr: float = 1e-3,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: list[Param], lr: float = 1e-3):
         if lr <= 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in optimizer")
         self.params = list(params)
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
         self.v = {p.name: np.zeros_like(p.data) for p in params}

@@ -88,9 +88,3 @@ def assemble_panoptic(scan: RadarScan, pred: MovingPrediction, refined_ids,
     inst[index_map] = ids
     return PanopticPrediction(scan.scan_id, sem, inst)
 
-
-def refinement_is_idempotent(instance_ids, pred_classes, mode: str = "split") -> bool:
-    """Property harness: refining a refined labeling must change nothing."""
-    c1, i1 = refine_instances(instance_ids, pred_classes, mode)
-    c2, i2 = refine_instances(i1, c1, mode)
-    return bool(np.array_equal(c1, c2) and np.array_equal(i1, i2))

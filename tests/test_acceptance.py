@@ -82,7 +82,7 @@ def test_criterion_2_attention_contracts():
         assert np.array_equal(nb.valid, ref.valid)
         assert np.array_equal(nb.rel_pos, ref.rel_pos)
 
-        attn = RadiusAttention("a", 8, np.random.default_rng(seed), "mask")
+        attn = RadiusAttention("a", 8, np.random.default_rng(seed))
         with ad.no_grad():
             out, weights = attn(Tensor(x), nb, training=False,
                                 return_weights=True)

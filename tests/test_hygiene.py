@@ -8,11 +8,13 @@ module's `__all__`.  Quoted annotations are not read: with
 `from __future__ import annotations` none needs quoting.
 
 A definition in `src/radfiner` counts as referenced when its name is
-read as a variable or an attribute, or appears as a string (an
-`__all__` entry, a `getattr` or a patch target), anywhere in `src/`,
-`tests/`, `demos/` or `perfbench/` outside the definition's own lines.
-Names are not resolved to objects, so a method shares its references
-with every attribute of the same name.
+read as a variable or an attribute, or appears as a string (a `getattr`
+or a patch target), anywhere in `src/`, `demos/` or `perfbench/`
+outside the definition's own lines.  An `__all__` entry and a use in
+`tests/` do not count: a definition that only tests reach is surface
+that the program itself never uses.  Names are not resolved to objects,
+so a method shares its references with every attribute of the same
+name.
 """
 
 import ast
@@ -77,10 +79,21 @@ def _definitions(tree: ast.Module) -> list[ast.AST]:
     return defs
 
 
+def _exports(tree: ast.Module) -> set[int]:
+    """ids of the nodes inside every `__all__ = [...]` value."""
+    return {id(sub) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for sub in ast.walk(node.value)}
+
+
 def _references(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every variable read, attribute and string constant."""
+    """(name, line) of every variable read, attribute and string constant,
+    the `__all__` entries left out."""
+    exported = _exports(tree)
     refs = []
     for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
         if isinstance(node, ast.Name):
             refs.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
@@ -91,7 +104,8 @@ def _references(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def _unreferenced(trees: dict[str, ast.Module], defining: list[str]) -> list[str]:
-    refs = {key: _references(tree) for key, tree in trees.items()}
+    refs = {key: _references(tree) for key, tree in trees.items()
+            if not key.startswith("tests/")}
     dead = []
     for key in defining:
         for node in _definitions(trees[key]):
@@ -109,6 +123,16 @@ def test_checker_flags_an_unreferenced_definition():
                               "    def lid(self):\n        return self.lid\n"),
              "user": ast.parse("print(used(), 'Box')\n")}
     assert _unreferenced(trees, ["lib"]) == ["lib:4: recursive", "lib:11: lid"]
+
+
+def test_checker_flags_a_definition_only_tests_reach():
+    trees = {"lib": ast.parse("__all__ = ['oracle', 'used']\n\n"
+                              "def oracle():\n    return 1\n\n"
+                              "def used():\n    return 2\n"),
+             "user": ast.parse("print(used())\n"),
+             "tests/test_lib.py": ast.parse("assert oracle() == 1\n"
+                                            "patch('lib.oracle', 'oracle')\n")}
+    assert _unreferenced(trees, ["lib"]) == ["lib:3: oracle"]
 
 
 def test_no_unreferenced_definitions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radfiner import autodiff as ad
-from radfiner.attention import PAD_MODES, RadiusAttention
+from radfiner.attention import RadiusAttention
 from radfiner.autodiff import Param, Tensor
 from radfiner.gradcheck import gradient_check
 from radfiner.layers import BatchNorm, Linear
@@ -32,30 +32,6 @@ def test_batchnorm_training_statistics():
     assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-6
 
 
-def test_batchnorm_masked_stats_ignore_padded_rows():
-    # the attention's masked statistics: taken over the valid rows, with
-    # the batch affine applied to every row
-    r = np.random.default_rng(1)
-    x = r.normal(size=(5, 6, 4))
-    valid = r.random((5, 6)) > 0.4
-    valid[0, 0] = True
-    poisoned = x.copy()
-    poisoned[~valid] = 1e9  # junk in padded slots must not leak into stats
-    gamma, beta = r.normal(size=4), r.normal(size=4)
-    out1, mean1, var1, _ = ad.bn_forward(x, gamma, beta, valid, BatchNorm.eps)
-    out2, mean2, var2, _ = ad.bn_forward(poisoned, gamma, beta, valid, BatchNorm.eps)
-    assert np.allclose(out1[valid], out2[valid], atol=1e-9)
-    assert np.allclose(mean1, mean2, atol=1e-12) and np.allclose(var1, var2, atol=1e-12)
-    # valid rows are normalized
-    xhat = (out1[valid] - beta) / gamma
-    assert np.max(np.abs(xhat.mean(axis=0))) < 1e-9
-    assert np.max(np.abs(xhat.var(axis=0) - 1.0)) < 1e-6
-    # padded rows keep flowing under the same affine
-    want = (x[~valid] - mean1.reshape(-1)) / np.sqrt(var1.reshape(-1) + BatchNorm.eps)
-    assert np.allclose(out1[~valid], want * gamma + beta, atol=1e-12)
-    assert np.any(out1[~valid] != 0.0)
-
-
 def test_batchnorm_running_stats_update_and_eval():
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
     bn = BatchNorm("bn", 2)
@@ -77,29 +53,12 @@ def test_batchnorm_running_stats_update_and_eval():
     assert np.array_equal(out.data, x * scale + shift)
 
 
-def test_batchnorm_zero_invalid_false_keeps_padded_rows_alive():
-    # padded rows are left out of the statistics but not zeroed: the
-    # masked norm of the attention passes them on under the batch affine
-    r = np.random.default_rng(2)
-    x = r.normal(size=(4, 3, 2))
-    valid = np.ones((4, 3), dtype=bool)
-    valid[:, 2] = False
-    bn = BatchNorm("bn", 2)
-    out = _masked_bn_node(bn, Param("x", x), valid).data
-    assert np.any(out[~valid] != 0.0)
-    mean, var = x[valid].mean(axis=0), x[valid].var(axis=0)
-    assert np.allclose(out[~valid], (x[~valid] - mean) / np.sqrt(var + bn.eps), atol=1e-12)
-
-
-def test_batchnorm_rejects_bad_shapes_and_empty_mask():
+def test_batchnorm_rejects_bad_shapes_and_empty_batch():
     bn = BatchNorm("bn", 3)
     with pytest.raises(ValueError):
         bn(Tensor(np.zeros((2, 4))), training=True)
     with pytest.raises(ValueError):
         bn(Tensor(np.zeros((0, 3))), training=True)
-    with pytest.raises(ValueError):
-        ad.bn_forward(np.zeros((2, 3)), np.ones(3), np.zeros(3),
-                      np.zeros((2,), dtype=bool), BatchNorm.eps)
 
 
 def test_batchnorm_gradients_flow():
@@ -129,11 +88,10 @@ def test_batchnorm_training_call_is_one_tape_node():
     assert all(p._backward is None for p in out._parents)
 
 
-@pytest.mark.parametrize("pad_mode", PAD_MODES)
-def test_attention_training_call_is_one_tape_node(pad_mode):
+def test_attention_training_call_is_one_tape_node():
     r = np.random.default_rng(7)
     nb = ball_query(r.uniform(-3, 3, size=(9, 2)), 2.0, 4)
-    layer = RadiusAttention("attn", 5, r, pad_mode)
+    layer = RadiusAttention("attn", 5, r)
     x = Param("x", r.normal(size=(9, 5)))
     out = layer(x, nb, training=True)
     assert out.requires_grad and out._backward is not None
@@ -155,27 +113,15 @@ def _pow_node(a, c):
     return ad._record(Tensor(a.data**c), (a,), backward)
 
 
-def _primitive_bn(bn, x, valid):
+def _primitive_bn(bn, x):
     """Training-mode BatchNorm composed from tape primitives, as it was
-    before it became one node: the oracle for forward bytes and gradients.
-    With `valid`, the statistics are over the valid rows and the affine
-    acts on every row."""
-    if valid is not None:
-        mask_col = valid[..., None].astype(np.float64)
-        count = int(valid.sum())
-    else:
-        mask_col = None
-        count = int(np.prod(x.data.shape[:-1]))
+    before it became one node: the oracle for forward bytes and gradients."""
+    count = int(np.prod(x.data.shape[:-1]))
     axes = tuple(range(x.data.ndim - 1))
-    xm = x * mask_col if mask_col is not None else x
-    mean = ad.reduce_sum(xm, axis=axes, keepdims=True) * (1.0 / count)
+    mean = ad.reduce_sum(x, axis=axes, keepdims=True) * (1.0 / count)
     centered = x - mean
-    if mask_col is not None:
-        centered = centered * mask_col
     var = ad.reduce_sum(centered * centered, axis=axes, keepdims=True) * (1.0 / count)
     inv = _pow_node(var + bn.eps, -0.5)
-    if mask_col is not None:
-        centered = x - mean
     out = centered * inv * bn.gamma + bn.beta
     m = bn.momentum
     running_mean = (1.0 - m) * bn.running_mean + m * mean.data.reshape(-1)
@@ -187,36 +133,12 @@ def _rel_err(got, want, scale=0.0):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), scale, 1e-300)
 
 
-def _masked_bn_node(bn, x, valid):
-    """`ad.bn_forward`/`bn_backward` with a row mask, as one tape node
-    with parents (x, gamma, beta); BatchNorm itself takes no mask."""
-    out, mean, var, cache = ad.bn_forward(x.data, bn.gamma.data, bn.beta.data,
-                                          valid, bn.eps)
-    bn.track(mean, var)
-
-    def backward(g):
-        dx, dgamma, dbeta = ad.bn_backward(g, cache)
-        x.accumulate_grad(dx)
-        bn.gamma.accumulate_grad(dgamma)
-        bn.beta.accumulate_grad(dbeta)
-
-    return ad._record(Tensor(out), (x, bn.gamma, bn.beta), backward)
-
-
-@pytest.mark.parametrize("mode", ["unmasked", "keep_invalid"])
-def test_batchnorm_node_matches_primitive_graph(mode):
+def test_batchnorm_node_matches_primitive_graph():
     r = np.random.default_rng(11)
     cases = [(int(r.integers(1, 8)), int(r.integers(1, 7)), int(r.integers(1, 6)))
              for _ in range(30)]
     for k, shape in enumerate(cases):
         x = r.normal(loc=r.normal(scale=3.0), scale=r.uniform(0.1, 5.0), size=shape)
-        valid = None
-        if mode != "unmasked":
-            valid = r.random(shape[:2]) > r.uniform(0.1, 0.9)
-            if k % 5 == 0:
-                valid[:] = False  # exactly one valid row
-            valid.flat[r.integers(valid.size)] = True
-            x[~valid] = r.normal(scale=1e6, size=(int((~valid).sum()), shape[2]))
         w = r.normal(size=shape)
         fused, prim = BatchNorm("a", shape[2]), BatchNorm("b", shape[2])
         for bn in (fused, prim):
@@ -225,11 +147,8 @@ def test_batchnorm_node_matches_primitive_graph(mode):
             bn.running_mean[:] = 0.25
         xf, xp = Param("xf", x), Param("xp", x)
 
-        if valid is None:
-            out_f = fused(xf, training=True)
-        else:
-            out_f = _masked_bn_node(fused, xf, valid)
-        out_p, mean_p, var_p, inv = _primitive_bn(prim, xp, valid)
+        out_f = fused(xf, training=True)
+        out_p, mean_p, var_p, inv = _primitive_bn(prim, xp)
         assert out_f.data.tobytes() == out_p.data.tobytes()
         assert fused.running_mean.tobytes() == mean_p.tobytes()
         assert fused.running_var.tobytes() == var_p.tobytes()
@@ -237,7 +156,7 @@ def test_batchnorm_node_matches_primitive_graph(mode):
         ad.backward(ad.reduce_sum(out_f * w))
         ad.backward(ad.reduce_sum(out_p * w))
         # x.grad sums terms of size inv * |w * gamma| that cancel to O(eps)
-        # where a channel has two valid rows; rounding is relative to them
+        # where a channel has two rows; rounding is relative to them
         terms = np.max(inv * np.abs(w * prim.gamma.data))
         assert _rel_err(xf.grad, xp.grad, terms) <= 1e-12, (k, shape)
         assert _rel_err(fused.gamma.grad, prim.gamma.grad) <= 1e-12, (k, shape)
@@ -246,7 +165,7 @@ def test_batchnorm_node_matches_primitive_graph(mode):
 
 def test_adamw_single_step_matches_hand_formula():
     p = Param("p", np.array([1.0]))
-    opt = AdamW([p], lr=0.1, weight_decay=0.01)
+    opt = AdamW([p], lr=0.1)
     p.grad[:] = 0.5
     opt.step()
     mhat = 0.5  # (0.1 * 0.5) / (1 - 0.9)
@@ -257,29 +176,29 @@ def test_adamw_single_step_matches_hand_formula():
 
 
 def test_adamw_decay_is_decoupled_from_gradient():
+    assert AdamW.weight_decay == 0.01
     p = Param("p", np.array([4.0]))
-    opt = AdamW([p], lr=0.1, weight_decay=0.5)
+    opt = AdamW([p], lr=0.1)
     p.grad[:] = 0.0  # moments stay 0, only decay acts
     opt.step()
-    assert abs(p.data[0] - (4.0 - 0.1 * 0.5 * 4.0)) < 1e-15
+    assert abs(p.data[0] - (4.0 - 0.1 * 0.01 * 4.0)) < 1e-15
 
 
 def test_adamw_constant_gradient_two_steps():
     p = Param("p", np.array([0.0]))
-    opt = AdamW([p], lr=0.01, weight_decay=0.0)
+    opt = AdamW([p], lr=0.01)
     for _ in range(2):
         p.grad[:] = 1.0
         opt.step()
-    # bias correction keeps mhat/sqrt(vhat) == 1 for a constant gradient
-    assert abs(p.data[0] + 0.02) < 1e-9
+    # bias correction keeps mhat/sqrt(vhat) == 1 for a constant gradient;
+    # the first step leaves p at -0.01, which the second step decays
+    assert abs(p.data[0] - (-0.01 - 0.01 * (1.0 + 0.01 * -0.01))) < 1e-9
 
 
 def test_adamw_rejects_bad_hyperparams_and_nonfinite_grad():
     p = Param("p", np.array([1.0]))
     with pytest.raises(ValueError):
         AdamW([p], lr=0.0)
-    with pytest.raises(ValueError):
-        AdamW([p], weight_decay=-1.0)
     with pytest.raises(ValueError):
         AdamW([p, Param("p", np.array([2.0]))])
     opt = AdamW([p])

@@ -68,19 +68,19 @@ def _probs(rows) -> Tensor:
 
 def test_cross_entropy_uniform_logits_is_log_c():
     logits = Tensor(np.zeros((5, 6)))
-    val = losses.cross_entropy(logits, np.array([0, 1, 2, 3, 4])).item()
+    val = float(losses.cross_entropy(logits, np.array([0, 1, 2, 3, 4])).data)
     assert abs(val - math.log(6)) < 1e-12
 
 
 def test_cross_entropy_hand_value_and_shift_stability():
     logits = Tensor(np.array([[math.log(2.0), 0.0]]))
-    val = losses.cross_entropy(logits, np.array([0])).item()
+    val = float(losses.cross_entropy(logits, np.array([0])).data)
     assert abs(val - math.log(1.5)) < 1e-12  # p(target) = 2/3
     shifted = Tensor(np.array([[math.log(2.0) + 800.0, 800.0]]))
-    val2 = losses.cross_entropy(shifted, np.array([0])).item()
+    val2 = float(losses.cross_entropy(shifted, np.array([0])).data)
     assert abs(val2 - math.log(1.5)) < 1e-9
     big = Tensor(np.full((3, 6), 1000.0))
-    assert np.isfinite(losses.cross_entropy(big, np.array([0, 1, 2])).item())
+    assert np.isfinite(float(losses.cross_entropy(big, np.array([0, 1, 2])).data))
 
 
 def test_cross_entropy_validation():
@@ -95,13 +95,13 @@ def test_cross_entropy_validation():
 def test_lovasz_perfect_hard_predictions_is_zero():
     probs = _probs([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0]])
     targets = np.array([0, 1, 2, 1])
-    assert losses.lovasz_softmax(probs, targets).item() == 0.0
+    assert float(losses.lovasz_softmax(probs, targets).data) == 0.0
 
 
 def test_lovasz_binary_hand_value():
     # both classes: errors (0.25, 0.25); first prefix carries full jaccard 1
     probs = _probs([[0.75, 0.25], [0.25, 0.75]])
-    val = losses.lovasz_softmax(probs, np.array([0, 1])).item()
+    val = float(losses.lovasz_softmax(probs, np.array([0, 1])).data)
     assert abs(val - 0.25) < 1e-12
 
 
@@ -113,7 +113,7 @@ def test_lovasz_matches_loop_reference_on_random_inputs():
         raw = rng.random((n, c)) + 1e-3
         probs = raw / raw.sum(axis=1, keepdims=True)
         targets = rng.integers(0, c, size=n)
-        got = losses.lovasz_softmax(_probs(probs), targets).item()
+        got = float(losses.lovasz_softmax(_probs(probs), targets).data)
         ref = _lovasz_ref(probs, targets)
         assert abs(got - ref) < 1e-12, f"trial {trial}"
 
@@ -131,7 +131,7 @@ def test_consistency_matches_loop_reference_on_random_inputs():
         soft_ref, hard_ref, grad_ref = _consistency_refs(probs, codes, ids)
         t = Tensor(probs, requires_grad=True)
         soft = losses.consistency_soft(t, ids)
-        assert abs(soft.item() - soft_ref) < 1e-12, f"trial {trial}"
+        assert abs(float(soft.data) - soft_ref) < 1e-12, f"trial {trial}"
         if soft.requires_grad:
             ad.backward(soft)
             assert np.max(np.abs(t.grad - grad_ref)) < 1e-12, f"trial {trial}"
@@ -151,7 +151,7 @@ def test_cross_entropy_matches_numpy_log_softmax():
         log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         t = Tensor(logits, requires_grad=True)
         ce = losses.cross_entropy(t, targets)
-        assert abs(ce.item() + log_p[np.arange(n), targets].mean()) < 1e-12
+        assert abs(float(ce.data) + log_p[np.arange(n), targets].mean()) < 1e-12
         ad.backward(ce)
         expected = np.exp(log_p)
         expected[np.arange(n), targets] -= 1.0
@@ -163,7 +163,7 @@ def test_lovasz_counts_predicted_only_classes():
     # considered and contributes max p_1 = 0.6
     probs = _probs([[0.9, 0.1], [0.4, 0.6]])
     targets = np.array([0, 0])
-    val = losses.lovasz_softmax(probs, targets).item()
+    val = float(losses.lovasz_softmax(probs, targets).data)
     # class 0: errors (0.1, 0.6) -> sorted (0.6, 0.1), both members:
     #   jaccard increments (1-1/2, 1-2/2 minus prev) = (0.5, 0.5) -> wait,
     #   inter after k=1: 1 member left, union 2: jac = 0.5; k=2: 0 left,
@@ -188,14 +188,14 @@ def test_consistency_hard_value_table():
 
 def test_consistency_soft_endpoints():
     one_hot = _probs([[0, 1, 0], [0, 1, 0]])
-    assert losses.consistency_soft(one_hot, np.array([1, 1])).item() == 0.0
+    assert float(losses.consistency_soft(one_hot, np.array([1, 1])).data) == 0.0
     uniform = _probs(np.full((4, 6), 1.0 / 6.0))
-    val = losses.consistency_soft(uniform, np.array([3, 3, 3, 3])).item()
+    val = float(losses.consistency_soft(uniform, np.array([3, 3, 3, 3])).data)
     assert abs(val - (1.0 - 1.0 / 6.0)) < 1e-12
     # two one-hot rows disagreeing maximally inside one instance (C=2)
     split = _probs([[1, 0], [0, 1]])
-    assert abs(losses.consistency_soft(split, np.array([1, 1])).item() - 0.5) < 1e-12
-    assert losses.consistency_soft(split, np.array([0, 0])).item() == 0.0
+    assert abs(float(losses.consistency_soft(split, np.array([1, 1])).data) - 0.5) < 1e-12
+    assert float(losses.consistency_soft(split, np.array([0, 0])).data) == 0.0
 
 
 def test_consistency_soft_tracks_hard_direction():
@@ -203,10 +203,10 @@ def test_consistency_soft_tracks_hard_direction():
     mixed = rng.random((6, 4))
     mixed /= mixed.sum(axis=1, keepdims=True)
     ids = np.array([1, 1, 1, 2, 2, 2])
-    soft_mixed = losses.consistency_soft(_probs(mixed), ids).item()
+    soft_mixed = float(losses.consistency_soft(_probs(mixed), ids).data)
     pure = np.zeros((6, 4))
     pure[np.arange(6), [2, 2, 2, 0, 0, 0]] = 1.0
-    assert losses.consistency_soft(_probs(pure), ids).item() < soft_mixed
+    assert float(losses.consistency_soft(_probs(pure), ids).data) < soft_mixed
 
 
 def test_total_loss_is_sum_of_parts():
@@ -215,7 +215,7 @@ def test_total_loss_is_sum_of_parts():
     targets = rng.integers(0, 6, size=8)
     ids = np.array([1, 1, 2, 2, 0, 0, 3, 3])
     total, parts = losses.total_loss(logits, targets, ids)
-    assert abs(total.item() - (parts["ce"] + parts["lovasz"] + parts["consistency"])) < 1e-12
+    assert abs(float(total.data) - (parts["ce"] + parts["lovasz"] + parts["consistency"])) < 1e-12
     assert parts["ce"] > 0 and parts["lovasz"] > 0
 
 

@@ -32,8 +32,6 @@ def test_config_validation_and_head_widths():
     with pytest.raises(ConfigError):
         NetworkConfig(n_max=0)
     with pytest.raises(ConfigError):
-        NetworkConfig(attn_pad="nope")
-    with pytest.raises(ConfigError):
         NetworkConfig(d1=0)
 
 
@@ -152,7 +150,6 @@ def test_argmax_prefers_lowest_code_on_ties():
 @pytest.mark.parametrize("cfg", [
     toy_config(seed=3),
     toy_config(head_norm="bn", seed=4),
-    toy_config(attn_pad="zeropad", head_norm="bn", seed=5),
     NetworkConfig(d1=32, d2=64, seed=6),
 ])
 def test_infer_matches_tape_forward(cfg):

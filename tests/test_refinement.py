@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from radfiner.errors import ValidationError
-from radfiner.refinement import (REFINE_MODES, assemble_panoptic,
-                                 refine_instances, refinement_is_idempotent)
+from radfiner.refinement import REFINE_MODES, assemble_panoptic, refine_instances
 from radfiner.scans import MovingPrediction, RadarScan, SemanticClass
 
 CAR = int(SemanticClass.CAR)
@@ -48,7 +47,8 @@ def test_all_static_prediction_clears_ids():
 def test_empty_input_is_identity():
     classes, ids = refine_instances([], [])
     assert len(classes) == 0 and len(ids) == 0
-    assert refinement_is_idempotent([], [])
+    again = refine_instances(ids, classes)
+    assert len(again[0]) == 0 and len(again[1]) == 0
 
 
 # -- majority mode -----------------------------------------------------------
@@ -96,7 +96,10 @@ def test_fuzzed_invariants(mode):
         for iid in np.unique(out_ids[out_ids > 0]):
             sources = np.unique(ids[(out_ids == iid) & (ids > 0)])
             assert len(sources) <= 1
-        assert refinement_is_idempotent(ids, classes, mode)
+        # idempotence: refining a refined labeling changes nothing
+        again = refine_instances(out_ids, out_classes, mode)
+        assert np.array_equal(again[0], out_classes)
+        assert np.array_equal(again[1], out_ids)
 
 
 # -- input validation --------------------------------------------------------
