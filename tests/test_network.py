@@ -150,6 +150,7 @@ def test_argmax_prefers_lowest_code_on_ties():
 @pytest.mark.parametrize("cfg", [
     toy_config(seed=3),
     toy_config(head_norm="bn", seed=4),
+    toy_config(head_norm="bn", seed=5),
     NetworkConfig(d1=32, d2=64, seed=6),
 ])
 def test_infer_matches_tape_forward(cfg):
